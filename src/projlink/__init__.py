@@ -6,6 +6,7 @@ from .links import (
     Classification,
     ClassificationKind,
     Direction,
+    InvalidInput,
     InvalidN,
     NotApplicable,
     Relation,
@@ -16,6 +17,7 @@ from .links import (
     WrongSpace,
     applicable_relations,
     apply_relation,
+    canonical,
     classify,
     component_count,
     isotopic,

@@ -15,16 +15,19 @@ from itertools import combinations
 
 from .links import (
     AmbientSpace,
-    Direction,
-    Relation,
     TorusLink,
+    _reduce,
+    _swap,
     apply_relation,
     applicable_relations,
-    isotopic,
+    canonical,
     lift,
     link_to_dict,
-    normal_form,
 )
+
+
+def _key(link: TorusLink) -> tuple[int, int, int]:
+    return canonical(link.space, link.p, link.q, link.n)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class Atlas:
     classes: dict[TorusLink, tuple[TorusLink, ...]]
 
     def class_of(self, link: TorusLink) -> tuple[TorusLink, ...]:
-        return self.classes[normal_form(link)[0]]
+        return self.classes[TorusLink(link.space, *_key(link))]
 
     def to_dict(self) -> dict:
         return {
@@ -90,37 +93,53 @@ def universe(space: AmbientSpace, bound: int) -> list[TorusLink]:
 
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
     """Partition the bounded universe by normal form."""
-    buckets: dict[TorusLink, list[TorusLink]] = {}
+    buckets: dict[tuple[int, int, int], list[TorusLink]] = {}
     for link in universe(space, bound):
-        key = normal_form(link)[0]
-        buckets.setdefault(key, []).append(link)
-    classes = {
-        key: tuple(sorted(members, key=lambda t: t.sort_key()))
-        for key, members in buckets.items()
-    }
+        buckets.setdefault(_key(link), []).append(link)
+    # The universe is in (p, q, n) order, so every class comes out sorted.
+    classes = {TorusLink(space, *key): tuple(members) for key, members in buckets.items()}
     return Atlas(space, bound, classes)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+def _index(bound: int, p: int, q: int, n: int) -> int:
+    """Position of (p, q, n) in universe(space, bound)."""
+    return ((p + bound) * (2 * bound + 1) + q + bound) * 3 + n
 
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
+def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
+    """Union-find closure of the bounded universe under all relation moves.
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    Works on universe positions (see _index) in a flat parent list.  Every
+    class is rooted at its least position, so at its lexicographically
+    least triple.  Returns the root of every position.
+    """
+    parent = list(range(3 * (2 * bound + 1) ** 2))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    i = 0  # the position of (p, q, n)
+    for p in range(-bound, bound + 1):
+        for q in range(-bound, bound + 1):
+            for n in (0, 1, 2):
+                images = [(-p, -q, n)]
+                if n != 1:
+                    images.append((*_swap(space, p, q), n))
+                reduced = _reduce(space, p, q, n)
+                if reduced is not None:
+                    images.append((*reduced, n + 1))
+                for image in images:
+                    if abs(image[0]) <= bound and abs(image[1]) <= bound:
+                        a, b = find(i), find(_index(bound, *image))
+                        if a < b:
+                            parent[b] = a
+                        elif b < a:
+                            parent[a] = b
+                i += 1
+    return [find(x) for x in range(len(parent))]
 
 
 def closure_partition(space: AmbientSpace, bound: int) -> dict[TorusLink, TorusLink]:
@@ -130,28 +149,10 @@ def closure_partition(space: AmbientSpace, bound: int) -> dict[TorusLink, TorusL
     reverse of some forward move from its target, so the closure covers both
     directions.  Moves whose result leaves the universe are skipped, which
     is why callers use a larger closure universe than the one they report
-    on.  Returns a map from each triple to a canonical class representative.
+    on.  Returns a map from each triple to the least triple of its class.
     """
     links = universe(space, bound)
-    in_universe = set(links)
-    uf = _UnionFind()
-    for link in links:
-        uf.add(link)
-    for link in links:
-        for relation, direction in applicable_relations(link):
-            if direction is not Direction.FORWARD:
-                continue
-            after = apply_relation(link, relation, direction).after
-            if after in in_universe:
-                uf.union(link, after)
-    roots: dict[TorusLink, TorusLink] = {}
-    rep: dict[TorusLink, TorusLink] = {}
-    for link in links:  # lexicographic order makes representatives canonical
-        root = uf.find(link)
-        if root not in rep:
-            rep[root] = link
-        roots[link] = rep[root]
-    return roots
+    return {link: links[root] for link, root in zip(links, _closure_roots(space, bound))}
 
 
 def _pairs_across(groups: list[list[TorusLink]]) -> list[tuple[TorusLink, TorusLink]]:
@@ -171,18 +172,20 @@ def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
     """
     t0 = time.perf_counter()
     inner = universe(space, bound)
-    closure = closure_partition(space, 3 * bound)
+    outer = 3 * bound
+    roots = _closure_roots(space, outer)
     violations: list[dict] = []
 
-    by_root: dict[TorusLink, dict[TorusLink, list[TorusLink]]] = {}
-    by_nf: dict[TorusLink, dict[TorusLink, list[TorusLink]]] = {}
+    by_root: dict[int, dict[tuple, list[TorusLink]]] = {}
+    by_nf: dict[tuple, dict[int, list[TorusLink]]] = {}
     for link in inner:
-        root = closure[link]
-        key = normal_form(link)[0]
+        root = roots[_index(outer, link.p, link.q, link.n)]
+        key = _key(link)
         by_root.setdefault(root, {}).setdefault(key, []).append(link)
         by_nf.setdefault(key, {}).setdefault(root, []).append(link)
 
-    for root, split in sorted(by_root.items(), key=lambda kv: kv[0].sort_key()):
+    # Roots (positions) and keys (triples) both sort in (p, q, n) order.
+    for root, split in sorted(by_root.items()):
         if len(split) > 1:
             for a, b in _pairs_across(list(split.values())):
                 violations.append({
@@ -190,7 +193,7 @@ def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
                     "b": link_to_dict(b),
                     "evidence": "union-find-equivalent but distinct normal forms",
                 })
-    for key, split in sorted(by_nf.items(), key=lambda kv: kv[0].sort_key()):
+    for key, split in sorted(by_nf.items()):
         if len(split) > 1:
             for a, b in _pairs_across(list(split.values())):
                 violations.append({
@@ -218,26 +221,27 @@ def verify_lift_injectivity(bound: int) -> VerificationReport:
     """
     t0 = time.perf_counter()
     links = universe(AmbientSpace.RP3, bound)
-    by_lift: dict[TorusLink, dict[TorusLink, TorusLink]] = {}
-    by_base: dict[TorusLink, dict[TorusLink, TorusLink]] = {}
+    by_lift: dict[tuple, dict[tuple, TorusLink]] = {}
+    by_base: dict[tuple, dict[tuple, TorusLink]] = {}
     for link in links:
-        base_key = normal_form(link)[0]
-        lift_key = normal_form(lift(link))[0]
+        base_key = _key(link)
+        lift_key = _key(lift(link))
         by_lift.setdefault(lift_key, {}).setdefault(base_key, link)
         by_base.setdefault(base_key, {}).setdefault(lift_key, link)
 
     violations: list[dict] = []
-    for lift_key, bases in sorted(by_lift.items(), key=lambda kv: kv[0].sort_key()):
+    for lift_key, bases in sorted(by_lift.items()):
         if len(bases) > 1:
+            lift_nf = TorusLink(AmbientSpace.SPHERE3, *lift_key)
             reps = sorted(bases.values(), key=lambda t: t.sort_key())
             for a, b in combinations(reps, 2):
                 violations.append({
                     "a": link_to_dict(a),
                     "b": link_to_dict(b),
                     "evidence": "isotopic lifts "
-                                f"(S^3 class {lift_key!r}) but distinct RP^3 classes",
+                                f"(S^3 class {lift_nf!r}) but distinct RP^3 classes",
                 })
-    for base_key, lifts in sorted(by_base.items(), key=lambda kv: kv[0].sort_key()):
+    for base_key, lifts in sorted(by_base.items()):
         if len(lifts) > 1:
             reps = sorted(lifts.values(), key=lambda t: t.sort_key())
             for a, b in combinations(reps, 2):
@@ -261,7 +265,7 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
 
     Applies every applicable move to every triple in the bounded universe
     and checks that the lifted endpoints are isotopic in S^3, recording the
-    longest witness chain seen.
+    length of the longest witness chain `isotopic` would return.
     """
     t0 = time.perf_counter()
     violations: list[dict] = []
@@ -270,7 +274,11 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
     for link in universe(AmbientSpace.RP3, bound):
         for relation, direction in applicable_relations(link):
             step = apply_relation(link, relation, direction)
-            ok, chain = isotopic(lift(step.before), lift(step.after))
+            a, b = lift(step.before), lift(step.after)
+            moves_a: list = []
+            moves_b: list = []
+            ok = (canonical(a.space, a.p, a.q, a.n, moves_a)
+                  == canonical(b.space, b.p, b.q, b.n, moves_b))
             checked += 1
             if not ok:
                 violations.append({
@@ -280,7 +288,8 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
                                 "whose lifts are not S^3-isotopic",
                 })
             else:
-                max_chain = max(max_chain, len(chain))
+                # isotopic's chain runs a -> normal form -> b.
+                max_chain = max(max_chain, len(moves_a) + len(moves_b))
     return VerificationReport(
         bound=bound,
         checked_pairs=checked,

@@ -32,14 +32,12 @@ _VERIFIERS = {
     "confluence": (10, lambda space, bound: atlas_mod.confluence_audit(space, bound)),
     "relation-lift": (30, lambda space, bound: atlas_mod.relation_lift_compatibility(bound)),
 }
+# Choices print as the values users type, not as enum members.
+_SPACES = [space.value for space in AmbientSpace]
 
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _space(value: str) -> AmbientSpace:
-    return AmbientSpace(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,20 +45,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="projlink",
         description="Torus-link calculus on S^3 and RP^3, with atlas "
                     "verification and JSJ-tree tooling.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for generator-backed subcommands (reserved)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count; results are independent of it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("canon", help="normal form, components, classification")
-    p.add_argument("--space", type=_space, choices=list(AmbientSpace), required=True)
+    p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("isotopic", help="decide isotopy of two triples")
-    p.add_argument("--space", type=_space, choices=list(AmbientSpace), required=True)
+    p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("triple", type=int, nargs=6, metavar="N",
                    help="p1 q1 n1 p2 q2 n2")
 
@@ -70,14 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = sub.add_parser("atlas", help="enumerate isotopy classes up to a bound")
-    p.add_argument("--space", type=_space, choices=list(AmbientSpace), required=True)
+    p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("--bound", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("kind", choices=sorted(_VERIFIERS))
-    p.add_argument("--space", type=_space, choices=list(AmbientSpace),
-                   default=AmbientSpace.SPHERE3,
-                   help="space for the confluence audit (default s3)")
+    p.add_argument("--space", choices=_SPACES,
+                   help="space for the confluence audit (default s3); "
+                        "the other suites run in RP^3 and take none")
     p.add_argument("--bound", type=int, default=None)
 
     p = sub.add_parser("jsj", help="JSJ-tree tooling")
@@ -88,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_canon(args) -> int:
-    link = make_link(args.space, args.p, args.q, args.n)
+    link = make_link(AmbientSpace(args.space), args.p, args.q, args.n)
     nf, chain = normal_form(link)
     verdict = classify(link)
     _emit({
@@ -103,8 +97,9 @@ def _cmd_canon(args) -> int:
 
 def _cmd_isotopic(args) -> int:
     p1, q1, n1, p2, q2, n2 = args.triple
-    a = make_link(args.space, p1, q1, n1)
-    b = make_link(args.space, p2, q2, n2)
+    space = AmbientSpace(args.space)
+    a = make_link(space, p1, q1, n1)
+    b = make_link(space, p2, q2, n2)
     verdict, chain = isotopic(a, b)
     _emit({
         "isotopic": verdict,
@@ -122,7 +117,7 @@ def _cmd_lift(args) -> int:
 def _cmd_atlas(args) -> int:
     if args.bound < 0:
         raise CalculusError(f"--bound must be >= 0, got {args.bound}")
-    _emit(atlas_mod.enumerate_classes(args.space, args.bound).to_dict())
+    _emit(atlas_mod.enumerate_classes(AmbientSpace(args.space), args.bound).to_dict())
     return 0
 
 
@@ -131,7 +126,7 @@ def _cmd_verify(args) -> int:
     bound = default_bound if args.bound is None else args.bound
     if bound < 0:
         raise CalculusError(f"--bound must be >= 0, got {bound}")
-    report = runner(args.space, bound)
+    report = runner(AmbientSpace(args.space or "s3"), bound)
     _emit(report.to_dict(include_elapsed=False))
     print(f"{args.kind}: bound={bound} checked={report.checked_pairs} "
           f"violations={len(report.violations)} "
@@ -180,6 +175,8 @@ def _cmd_jsj(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.kind != "confluence" and args.space is not None:
+        parser.error(f"verify {args.kind} runs in RP^3 and takes no --space")
     handlers = {
         "canon": _cmd_canon,
         "isotopic": _cmd_isotopic,

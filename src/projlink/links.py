@@ -10,9 +10,15 @@ rewrite moves generate isotopy of these links:
   R3  isotope one parallel copy onto the core of the first handlebody,
   R4  isotope one parallel copy onto the core of the second handlebody.
 
-Normal forms are computed by greedy forward reduction (R3/R4 always shrink
-|p| + |q|) followed by lexicographic minimization over the small R1/R2
-orbit.  Every verdict carries a replayable chain of moves as a certificate.
+`canonical(space, p, q, n)` computes the normal form on plain integers:
+greedy forward reduction (R3/R4 always shrink |p| + |q|) followed by
+lexicographic minimization over the R1/R2 orbit.  R3 needs n = 0 and yields
+n = 1, R4 needs n = 1 and yields n = 2, so there are at most two
+reductions, each searching an orbit of at most four members: the depth is
+constant.  `normal_form` replays the moves `canonical` applied into a
+witness chain, so every positive verdict carries a replayable certificate;
+callers that only compare classes, such as the atlas and its verifiers,
+use `canonical` and build no chains.
 """
 
 from __future__ import annotations
@@ -47,7 +53,19 @@ class CalculusError(Exception):
 
 
 class InvalidN(CalculusError):
+    """An integer n outside {0, 1, 2}."""
+
     code = "INVALID_N"
+
+
+class InvalidInput(InvalidN):
+    """A coefficient or n that is not an integer, or a malformed wire triple.
+
+    It derives from InvalidN, which callers caught for any bad triple before
+    this class existed, so those handlers still see it.
+    """
+
+    code = "INVALID_INPUT"
 
 
 class NotApplicable(CalculusError):
@@ -124,7 +142,7 @@ def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
     """Build a validated triple; n must be 0, 1 or 2."""
     for name, value in (("p", p), ("q", q), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidN(f"{name} must be an integer, got {value!r}")
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if n not in (0, 1, 2):
         raise InvalidN(f"n must be 0, 1 or 2, got {n}")
     return TorusLink(space, p, q, n)
@@ -143,19 +161,31 @@ def component_count(link: TorusLink) -> int:
 # many reduction preimages, so the backward maps pick a fixed canonical one.
 
 
-def _r2_pair(link: TorusLink) -> tuple[int, int]:
-    if link.space is AmbientSpace.SPHERE3:
-        return (link.q, link.p)
-    return (-link.p + 2 * link.q, link.q)
+def _swap(space: AmbientSpace, p: int, q: int) -> tuple[int, int]:
+    """R2 on (p, q): exchange the handlebodies."""
+    if space is AmbientSpace.SPHERE3:
+        return q, p
+    return -p + 2 * q, q
 
 
-def _r3_forward_ok(link: TorusLink) -> bool:
-    return link.n == 0 and link.p > 0 and link.q % link.p == 0
+def _reduce(space: AmbientSpace, p: int, q: int, n: int) -> tuple[int, int] | None:
+    """Forward R3 (n = 0) or R4 (n = 1) on (p, q), or None if it does not apply.
 
-
-def _r3_forward(link: TorusLink) -> TorusLink:
-    p, q = link.p, link.q
-    return TorusLink(link.space, p - 1, (p - 1) * q // p, 1)
+    The result carries n + 1 cores.
+    """
+    if n == 0:
+        if p > 0 and q % p == 0:
+            return p - 1, (p - 1) * q // p
+    elif n == 1:
+        if space is AmbientSpace.SPHERE3:
+            if q > 0 and p % q == 0:
+                return (q - 1) * p // q, q - 1
+        else:
+            k = -p + 2 * q
+            # k divides q, and p = 2q - k, so k divides p as well.
+            if k > 0 and q % k == 0:
+                return (k - 1) * p // k, (k - 1) * q // k
+    return None
 
 
 def _r3_backward_ok(link: TorusLink) -> bool:
@@ -171,24 +201,6 @@ def _r3_backward(link: TorusLink) -> TorusLink:
         return TorusLink(link.space, 1, 0, 0)
     p, q = link.p, link.q
     return TorusLink(link.space, p + 1, (p + 1) * q // p, 0)
-
-
-def _r4_forward_ok(link: TorusLink) -> bool:
-    if link.n != 1:
-        return False
-    if link.space is AmbientSpace.SPHERE3:
-        return link.q > 0 and link.p % link.q == 0
-    k = -link.p + 2 * link.q
-    return k > 0 and link.q % k == 0
-
-
-def _r4_forward(link: TorusLink) -> TorusLink:
-    p, q = link.p, link.q
-    if link.space is AmbientSpace.SPHERE3:
-        return TorusLink(link.space, (q - 1) * p // q, q - 1, 2)
-    k = -p + 2 * q
-    # k divides q, and p = 2q - k, so k divides p as well.
-    return TorusLink(link.space, (k - 1) * p // k, (k - 1) * q // k, 2)
 
 
 def _r4_backward_ok(link: TorusLink) -> bool:
@@ -226,11 +238,12 @@ def applicable_relations(link: TorusLink) -> list[tuple[Relation, Direction]]:
     out: list[tuple[Relation, Direction]] = [(Relation.R1, Direction.FORWARD)]
     if link.n in (0, 2):
         out.append((Relation.R2, Direction.FORWARD))
-    if _r3_forward_ok(link):
+    reducible = _reduce(link.space, link.p, link.q, link.n) is not None
+    if reducible and link.n == 0:
         out.append((Relation.R3, Direction.FORWARD))
     if _r3_backward_ok(link):
         out.append((Relation.R3, Direction.BACKWARD))
-    if _r4_forward_ok(link):
+    if reducible and link.n == 1:
         out.append((Relation.R4, Direction.FORWARD))
     if _r4_backward_ok(link):
         out.append((Relation.R4, Direction.BACKWARD))
@@ -250,28 +263,25 @@ def apply_relation(
     elif relation is Relation.R2:
         if link.n not in (0, 2):
             raise NotApplicable(f"R2 requires n in {{0, 2}}, got {link!r}")
-        np_, nq = _r2_pair(link)
-        after = TorusLink(link.space, np_, nq, link.n)
-    elif relation is Relation.R3:
-        if direction is Direction.FORWARD:
-            if not _r3_forward_ok(link):
-                raise NotApplicable(f"R3 needs n=0 and p > 0 dividing q: {link!r}")
-            after = _r3_forward(link)
-        else:
-            if not _r3_backward_ok(link):
-                raise NotApplicable(f"R3 backward not applicable to {link!r}")
-            after = _r3_backward(link)
-    elif relation is Relation.R4:
-        if direction is Direction.FORWARD:
-            if not _r4_forward_ok(link):
-                raise NotApplicable(f"R4 not applicable to {link!r}")
-            after = _r4_forward(link)
-        else:
-            if not _r4_backward_ok(link):
-                raise NotApplicable(f"R4 backward not applicable to {link!r}")
-            after = _r4_backward(link)
-    else:  # pragma: no cover
+        after = TorusLink(link.space, *_swap(link.space, link.p, link.q), link.n)
+    elif relation not in (Relation.R3, Relation.R4):  # pragma: no cover
         raise NotApplicable(f"unknown relation {relation!r}")
+    elif direction is Direction.FORWARD:
+        # R3 takes n = 0 to 1 and R4 takes n = 1 to 2.
+        image = None
+        if link.n == (0 if relation is Relation.R3 else 1):
+            image = _reduce(link.space, link.p, link.q, link.n)
+        if image is None:
+            raise NotApplicable(f"{relation.value} forward not applicable to {link!r}")
+        after = TorusLink(link.space, *image, link.n + 1)
+    elif relation is Relation.R3:
+        if not _r3_backward_ok(link):
+            raise NotApplicable(f"R3 backward not applicable to {link!r}")
+        after = _r3_backward(link)
+    else:
+        if not _r4_backward_ok(link):
+            raise NotApplicable(f"R4 backward not applicable to {link!r}")
+        after = _r4_backward(link)
     return RelationStep(relation, direction, link, after)
 
 
@@ -327,73 +337,84 @@ def concat_chains(a: WitnessChain, b: WitnessChain) -> WitnessChain:
 # Normal forms.
 
 
-def _orbit_paths(link: TorusLink) -> list[tuple[TorusLink, tuple[RelationStep, ...]]]:
-    """BFS closure of the triple under R1/R2, with the move path to each member.
+def _orbit(space: AmbientSpace, p: int, q: int, n: int) -> list[tuple[int, int, tuple]]:
+    """The R1/R2 orbit of (p, q) as (p, q, moves) in breadth-first order.
 
-    The orbit has at most four elements: negation and the handlebody swap
-    generate a Klein four-group on (p, q).
+    Negation and the handlebody swap are commuting involutions, so the orbit
+    is s, R1 s, R2 s, R1 R2 s with repeats dropped.  Each member carries the
+    moves of the first breadth-first path that reaches it from s.
     """
-    seen = {link}
-    order = [(link, ())]
-    frontier = [(link, ())]
-    while frontier:
-        nxt = []
-        for member, path in frontier:
-            moves = [Relation.R1]
-            if member.n in (0, 2):
-                moves.append(Relation.R2)
-            for rel in moves:
-                step = apply_relation(member, rel, Direction.FORWARD)
-                if step.after not in seen:
-                    seen.add(step.after)
-                    entry = (step.after, path + (step,))
-                    order.append(entry)
-                    nxt.append(entry)
-        frontier = nxt
-    return order
+    if p == 0 and q == 0:  # fixed by both moves
+        return [(0, 0, ())]
+    out = [(p, q, ()), (-p, -q, (Relation.R1,))]
+    if n != 1:
+        sp, sq = _swap(space, p, q)
+        # R1 R2 s is new exactly when R2 s is: R2 fixes only (0, 0).
+        if (sp, sq) != (p, q) and (sp, sq) != (-p, -q):
+            out.append((sp, sq, (Relation.R2,)))
+            out.append((-sp, -sq, (Relation.R1, Relation.R2)))
+    return out
 
 
-def _measure(link: TorusLink) -> int:
-    return abs(link.p) + abs(link.q)
+def canonical(space: AmbientSpace, p: int, q: int, n: int,
+              moves: list[Relation] | None = None) -> tuple[int, int, int]:
+    """Normal form of T(p, q; n) as a plain (p, q, n) triple.
 
-
-@lru_cache(maxsize=1 << 16)
-def _normal_form_cached(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
-    steps: list[RelationStep] = []
-    cur = link
+    While some member of the R1/R2 orbit admits a forward R3/R4 reduction,
+    applies the one with the least result (p, q), the member reached by the
+    shorter orbit path winning ties; then returns the least (p, q) over the
+    orbit.  Each reduction raises n, so there are at most two.  When `moves`
+    is a list, the forward moves applied are appended to it in order.
+    Raises CalculusError if a reduction fails to shrink |p| + |q|.  The
+    arguments are not validated: build triples from outside input with
+    make_link first.
+    """
     while True:
-        candidates = []
-        for member, path in _orbit_paths(cur):
-            for rel in (Relation.R3, Relation.R4):
-                ok = (_r3_forward_ok(member) if rel is Relation.R3
-                      else _r4_forward_ok(member))
-                if not ok:
-                    continue
-                step = apply_relation(member, rel, Direction.FORWARD)
-                candidates.append(
-                    (step.after.p, step.after.q, len(path), path, step))
-        if not candidates:
+        orbit = _orbit(space, p, q, n)
+        best = None
+        if n < 2:
+            for mp, mq, path in orbit:
+                after = _reduce(space, mp, mq, n)
+                if after is not None and (best is None or after < best[0]):
+                    best = after, path, abs(mp) + abs(mq)
+        if best is None:
             break
-        candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-        _, _, _, path, step = candidates[0]
-        assert _measure(step.after) < _measure(step.before), step
-        steps.extend(path)
-        steps.append(step)
-        cur = step.after
-    best, best_path = min(_orbit_paths(cur), key=lambda e: e[0].sort_key())
-    steps.extend(best_path)
-    return best, WitnessChain(tuple(steps))
+        (rp, rq), path, measure = best
+        if abs(rp) + abs(rq) >= measure:
+            raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
+        if moves is not None:
+            moves.extend(path)
+            moves.append(Relation.R3 if n == 0 else Relation.R4)
+        p, q, n = rp, rq, n + 1
+    # Orbit members differ in (p, q), so min never compares their paths.
+    p, q, path = min(orbit)
+    if moves is not None:
+        moves.extend(path)
+    return p, q, n
 
 
 def normal_form(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
     """Canonical representative of the isotopy class, with a move chain.
 
-    Greedily applies forward R3/R4 reductions, searching the R1/R2 orbit of
-    the current triple for applicability and preferring the lexicographically
-    least result; at a reduction-irreducible triple, returns the
-    lexicographically least (p, q) over the orbit.
+    The representative is `canonical` of the triple; the chain replays the
+    moves `canonical` applied, one `apply_relation` each.
     """
-    return _normal_form_cached(link)
+    return _normal_form_memo(link)
+
+
+# Interactive callers ask about the same triples again and again; scans of
+# the atlas use `canonical` and never reach this cache.
+@lru_cache(maxsize=1 << 16)
+def _normal_form_memo(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
+    moves: list[Relation] = []
+    canonical(link.space, link.p, link.q, link.n, moves)
+    steps = []
+    cur = link
+    for relation in moves:
+        step = apply_relation(cur, relation)
+        steps.append(step)
+        cur = step.after
+    return cur, WitnessChain(tuple(steps))
 
 
 def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
@@ -405,11 +426,9 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
     """
     if a.space is not b.space:
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
-    nf_a, chain_a = normal_form(a)
-    nf_b, chain_b = normal_form(b)
-    if nf_a != nf_b:
+    if canonical(a.space, a.p, a.q, a.n) != canonical(b.space, b.p, b.q, b.n):
         return False, None
-    return True, concat_chains(chain_a, reverse_chain(chain_b))
+    return True, concat_chains(normal_form(a)[1], reverse_chain(normal_form(b)[1]))
 
 
 def lift(link: TorusLink) -> TorusLink:
@@ -426,22 +445,20 @@ def classify(link: TorusLink) -> Classification:
     T(2q, q; 1) with q >= 1 in RP^3; membership is decided by comparing
     normal forms, using the component count to pin down q.
     """
-    nf, _ = normal_form(link)
-    if nf == normal_form(TorusLink(link.space, 0, 0, 0))[0]:
+    space = link.space
+    nf = canonical(space, link.p, link.q, link.n)
+    if nf == canonical(space, 0, 0, 0):
         return Classification(ClassificationKind.EMPTY, "the empty link")
     c = component_count(link)
-    if c >= 2:
-        family = normal_form(TorusLink(link.space, 0, c, 0))[0]
-        if nf == family:
-            return Classification(
-                ClassificationKind.NON_SEIFERT_SPLIT,
-                f"split link of {c} fibers in a ball: T(0,{c};0)")
-    if link.space is AmbientSpace.RP3 and c >= 2:
-        family = normal_form(TorusLink(link.space, 2 * (c - 1), c - 1, 1))[0]
-        if nf == family:
-            return Classification(
-                ClassificationKind.NON_SEIFERT_SPLIT,
-                f"split link T(2q,q;1) with q={c - 1}")
+    if c >= 2 and nf == canonical(space, 0, c, 0):
+        return Classification(
+            ClassificationKind.NON_SEIFERT_SPLIT,
+            f"split link of {c} fibers in a ball: T(0,{c};0)")
+    if (space is AmbientSpace.RP3 and c >= 2
+            and nf == canonical(space, 2 * (c - 1), c - 1, 1)):
+        return Classification(
+            ClassificationKind.NON_SEIFERT_SPLIT,
+            f"split link T(2q,q;1) with q={c - 1}")
     return Classification(
         ClassificationKind.SEIFERT_COMPLEMENT,
         "complement admits a Seifert fibration")
@@ -460,7 +477,7 @@ def link_from_dict(data: dict) -> TorusLink:
         space = AmbientSpace(data["space"])
         return make_link(space, data["p"], data["q"], data["n"])
     except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidN(f"malformed triple {data!r}") from exc
+        raise InvalidInput(f"malformed triple {data!r}") from exc
 
 
 def step_to_dict(step: RelationStep) -> dict:

@@ -187,3 +187,33 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+class TestFlags:
+    def test_space_choices_print_their_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["canon", "--space", "s4", "1", "1", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "{s3,rp3}" in err and "'s3', 'rp3'" in err
+        assert "AmbientSpace" not in err
+
+    @pytest.mark.parametrize("kind", ["lift-injectivity", "relation-lift"])
+    def test_space_is_rejected_where_it_does_not_apply(self, capsys, kind):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", kind, "--space", "rp3", "--bound", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--space" in captured.err
+
+    def test_confluence_space_defaults_to_s3(self, capsys):
+        assert main(["verify", "confluence", "--bound", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["verify", "confluence", "--space", "s3", "--bound", "2"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+    def test_unused_global_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "1", "canon", "--space", "s3", "1", "1", "0"])
+        assert exc.value.code == 2

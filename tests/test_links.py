@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from projlink.links import (
     AmbientSpace,
     Direction,
+    InvalidInput,
     InvalidN,
     NotApplicable,
     Relation,
@@ -251,3 +252,25 @@ class TestSerialization:
     def test_chain_roundtrip(self):
         _, chain = normal_form(make_link(RP3, 4, 0, 0))
         assert chain_from_list(chain_to_list(chain)) == chain
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("args", [(1.5, 1, 0), (1, "1", 0), (1, 1, True), (1, 1, 0.0)])
+    def test_non_integer_is_invalid_input(self, args):
+        with pytest.raises(InvalidInput) as exc:
+            make_link(S3, *args)
+        assert exc.value.code == "INVALID_INPUT"
+
+    def test_integer_n_out_of_range_stays_invalid_n(self):
+        with pytest.raises(InvalidN) as exc:
+            make_link(S3, 1, 1, 3)
+        assert not isinstance(exc.value, InvalidInput)
+        assert exc.value.code == "INVALID_N"
+
+    @pytest.mark.parametrize("data", [
+        None, [], "s3", {"space": "s3", "p": 1}, {"space": "t3", "p": 1, "q": 1, "n": 0},
+        {"space": ["s3"], "p": 1, "q": 1, "n": 0}, {"space": "s3", "p": 1.0, "q": 1, "n": 0},
+    ])
+    def test_malformed_wire_triple(self, data):
+        with pytest.raises(InvalidInput):
+            link_from_dict(data)
