@@ -138,7 +138,9 @@ def _cmd_jsj(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bytes that are not UTF-8 as well as malformed JSON;
+    # nesting deeper than the decoder's recursion limit raises RecursionError.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"projlink: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:

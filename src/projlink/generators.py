@@ -12,6 +12,7 @@ property suite relies on.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from .jsj import (
@@ -25,15 +26,18 @@ from .jsj import (
 _ST = RegionLabel.SOLID_TORUS
 _KHB = RegionLabel.KNOTTED_HOLE_BALL
 _OTHER = RegionLabel.OTHER
+_GEOMETRIES = (Geometry.HYPERBOLIC, Geometry.SEIFERT)
+_MOVED_FAR = (_ST, _KHB)  # far labels inside a doubled subtree
+_FIXED_BACK = (_ST, _OTHER)  # back labels of a fixed piece
 
 # Ordered label pairs a valid edge may carry.
-_EDGE_LABELINGS = [
+_EDGE_LABELINGS = (
     (_ST, _ST),
     (_ST, _OTHER),
     (_OTHER, _ST),
     (_KHB, _OTHER),
     (_OTHER, _KHB),
-]
+)
 
 
 def _pruefer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -47,8 +51,6 @@ def _pruefer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     for x in seq:
         degree[x] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for x in seq:
@@ -68,8 +70,7 @@ def _vid(i: int) -> str:
 def random_jsj_tree(rng: random.Random, n_vertices: int) -> JsjTree:
     """Random valid tree: Pruefer shape, uniform labels on each edge."""
     vertices = {
-        _vid(i): rng.choice((Geometry.HYPERBOLIC, Geometry.SEIFERT))
-        for i in range(n_vertices)
+        _vid(i): rng.choice(_GEOMETRIES) for i in range(n_vertices)
     }
     edges = []
     for u, v in _pruefer_edges(rng, n_vertices):
@@ -97,7 +98,7 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
 
     root = rng.randrange(n)
     geometry = {
-        i: rng.choice((Geometry.HYPERBOLIC, Geometry.SEIFERT)) for i in range(n)
+        i: rng.choice(_GEOMETRIES) for i in range(n)
     }
 
     moved: dict[int, bool] = {root: False}
@@ -116,7 +117,7 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
             if moved[a]:
                 # Whole subtree lies in a doubled region.
                 moved[b] = True
-                far = rng.choice((_ST, _KHB))
+                far = rng.choice(_MOVED_FAR)
                 labels[(a, b)] = (far, _OTHER)
             else:
                 far = _KHB if rng.random() < 0.35 else _ST
@@ -128,7 +129,7 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
                     labels[(a, b)] = (far, _OTHER)
                 else:
                     moved[b] = False
-                    labels[(a, b)] = (far, rng.choice((_ST, _OTHER)))
+                    labels[(a, b)] = (far, rng.choice(_FIXED_BACK))
 
     def copies(v: int) -> list[str]:
         return [f"{_vid(v)}.a", f"{_vid(v)}.b"] if moved[v] else [_vid(v)]

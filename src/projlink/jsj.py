@@ -17,6 +17,15 @@ A cover is a tree together with an involutive automorphism, modeling the
 preimage of the decomposition in S^3.  A fixed edge may not swap its
 endpoints (that would quotient to a one-sided torus) and knotted hole
 balls always lift to two copies, so edges touching them must be moved.
+
+Each raw tree is read in one pass: `_parse_tree` returns the typed tree or
+every violation in input order, and `tree_violations` and `validate_tree`
+wrap it.  Only `potential` walks the tree, so the adjacency is built once
+per tree, there.  `outermost` is the label criterion read off each edge's
+labels; that it equals the local minima of the potential and is never
+empty on a valid tree is checked by the tests, not at run time.
+`lemma44_check` counts the cover's far-side labels in one pass over its
+edges, and checks the quotient on its typed edges.
 """
 
 from __future__ import annotations
@@ -36,12 +45,12 @@ class Geometry(Enum):
     SEIFERT = "seifert"
 
 
-# Unordered label pairs a single torus may carry.
-_ALLOWED_PAIRS = {
-    frozenset({RegionLabel.SOLID_TORUS}),
-    frozenset({RegionLabel.SOLID_TORUS, RegionLabel.OTHER}),
-    frozenset({RegionLabel.KNOTTED_HOLE_BALL, RegionLabel.OTHER}),
-}
+# Wire values to members, found as Enum(value) finds them (members stand
+# for themselves) without its per-call cost.
+_LABELS = {**{label.value: label for label in RegionLabel},
+           **{label: label for label in RegionLabel}}
+_GEOMETRIES = {**{geom.value: geom for geom in Geometry},
+               **{geom: geom for geom in Geometry}}
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,6 @@ class TreeEdge:
 class JsjTree:
     vertices: dict[str, Geometry]
     edges: tuple[TreeEdge, ...]
-
-    def incident(self, vertex: str) -> list[TreeEdge]:
-        return [e for e in self.edges if vertex in (e.u, e.v)]
 
     def adjacency(self) -> dict[str, list[TreeEdge]]:
         adj: dict[str, list[TreeEdge]] = {v: [] for v in self.vertices}
@@ -104,75 +110,127 @@ class TreeValidationError(Exception):
         super().__init__("; ".join(f"{c}: {d}" for c, d in violations))
 
 
-def tree_violations(raw: dict) -> list[tuple[str, str]]:
-    """All constraint violations of a raw tree description."""
+def _allowed_pair(lu: RegionLabel, lv: RegionLabel) -> bool:
+    """Whether one torus may carry these labels: exactly one side OTHER
+    (solid torus or knotted hole ball against other), or solid tori on
+    both sides."""
+    return (lu is RegionLabel.OTHER) is not (lv is RegionLabel.OTHER) or \
+        lu is lv is RegionLabel.SOLID_TORUS
+
+
+def _shape_violations(vertices: dict, pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """NOT_A_TREE violations of a graph whose edges join distinct vertices."""
+    if not vertices:
+        return [("NOT_A_TREE", "no vertices")]
+    if len(pairs) != len(vertices) - 1:
+        return [("NOT_A_TREE", f"{len(vertices)} vertices need "
+                               f"{len(vertices) - 1} edges, got {len(pairs)}")]
+    # With one edge fewer than vertices, the graph is connected exactly when
+    # it has no cycle, and a cycle shows as an edge inside one class of a
+    # union-find (path halving).
+    parent = {v: v for v in vertices}
+    for u, v in pairs:
+        while (up := parent[u]) != u:
+            parent[u] = u = parent[up]
+        while (vp := parent[v]) != v:
+            parent[v] = v = parent[vp]
+        if u == v:
+            return [("NOT_A_TREE", "graph is not connected")]
+        parent[u] = v
+    return []
+
+
+def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
+    """Read a raw tree description in one pass.
+
+    Returns the typed tree and no violations, or None and every violation
+    in input order.  A value of the wrong JSON type where the checks look
+    (a document or entry that is not an object, vertices or edges that are
+    not a list, an edge endpoint that cannot be hashed) is an INVALID_INPUT
+    violation, not an exception.
+    """
+    if not isinstance(raw, dict):
+        return None, [("INVALID_INPUT",
+                        f"a tree must be an object, got {type(raw).__name__}")]
+    raw_vertices, raw_edges = raw.get("vertices", []), raw.get("edges", [])
+    for key, value in (("vertices", raw_vertices), ("edges", raw_edges)):
+        if not isinstance(value, (list, tuple)):
+            return None, [("INVALID_INPUT",
+                            f"{key} must be a list, got {type(value).__name__}")]
+
     violations: list[tuple[str, str]] = []
+    broken = False  # a NOT_A_TREE or INVALID_INPUT: the shape is not checked
     vertices: dict[str, Geometry] = {}
-    for entry in raw.get("vertices", []):
+    for entry in raw_vertices:
+        if not isinstance(entry, dict):
+            violations.append(
+                ("INVALID_INPUT", f"a vertex must be an object, got {type(entry).__name__}"))
+            broken = True
+            continue
         vid = entry.get("id")
         if not isinstance(vid, str) or vid in vertices:
             violations.append(("NOT_A_TREE", f"bad or duplicate vertex id {vid!r}"))
+            broken = True
             continue
         try:
-            vertices[vid] = Geometry(entry.get("geometry"))
-        except ValueError:
+            vertices[vid] = _GEOMETRIES[entry.get("geometry")]
+        except (KeyError, TypeError):
             violations.append(
                 ("NOT_A_TREE", f"unknown geometry for vertex {vid!r}"))
+            broken = True
 
-    shape: list[tuple[str, str]] = []  # edges with usable endpoints
-    for entry in raw.get("edges", []):
-        u, v = entry.get("u"), entry.get("v")
-        if u not in vertices or v not in vertices or u == v:
-            violations.append(("NOT_A_TREE", f"bad edge endpoints {u!r}-{v!r}"))
+    edges: list[TreeEdge] = []
+    pairs: list[tuple[str, str]] = []  # edges with usable endpoints
+    for entry in raw_edges:
+        if not isinstance(entry, dict):
+            violations.append(
+                ("INVALID_INPUT", f"an edge must be an object, got {type(entry).__name__}"))
+            broken = True
             continue
-        shape.append((u, v))
+        u, v = entry.get("u"), entry.get("v")
         try:
-            lu = RegionLabel(entry["label_beyond_u"])
-            lv = RegionLabel(entry["label_beyond_v"])
-        except (KeyError, ValueError):
+            bad_ends = u not in vertices or v not in vertices or u == v
+        except TypeError:  # an endpoint that cannot be hashed, such as a list
+            violations.append(
+                ("INVALID_INPUT", f"edge endpoints must be vertex ids, got "
+                                  f"{type(u).__name__}-{type(v).__name__}"))
+            broken = True
+            continue
+        if bad_ends:
+            violations.append(("NOT_A_TREE", f"bad edge endpoints {u!r}-{v!r}"))
+            broken = True
+            continue
+        pairs.append((u, v))
+        try:
+            lu = _LABELS[entry["label_beyond_u"]]
+            lv = _LABELS[entry["label_beyond_v"]]
+        except (KeyError, TypeError):
             violations.append(("UNLABELED_EDGE", f"edge {u!r}-{v!r} lacks labels"))
             continue
-        if frozenset({lu, lv}) not in _ALLOWED_PAIRS:
+        if not _allowed_pair(lu, lv):
             violations.append((
                 "FORBIDDEN_LABEL_PAIR",
                 f"edge {u!r}-{v!r} carries ({lu.value}, {lv.value})"))
+        edges.append(TreeEdge(u, v, lu, lv))
 
-    if vertices and not any(code == "NOT_A_TREE" for code, _ in violations):
-        if len(shape) != len(vertices) - 1:
-            violations.append(
-                ("NOT_A_TREE", f"{len(vertices)} vertices need "
-                               f"{len(vertices) - 1} edges, got {len(shape)}"))
-        else:
-            seen = set()
-            stack = [next(iter(vertices))]
-            adj: dict[str, list[str]] = {v: [] for v in vertices}
-            for u, v in shape:
-                adj[u].append(v)
-                adj[v].append(u)
-            while stack:
-                x = stack.pop()
-                if x in seen:
-                    continue
-                seen.add(x)
-                stack.extend(adj[x])
-            if len(seen) != len(vertices):
-                violations.append(("NOT_A_TREE", "graph is not connected"))
-    elif not vertices:
-        violations.append(("NOT_A_TREE", "no vertices"))
-    return violations
+    if not broken or not vertices:
+        violations.extend(_shape_violations(vertices, pairs))
+    if violations:
+        return None, violations
+    return JsjTree(vertices, tuple(edges)), []
+
+
+def tree_violations(raw: dict) -> list[tuple[str, str]]:
+    """All constraint violations of a raw tree description."""
+    return _parse_tree(raw)[1]
 
 
 def validate_tree(raw: dict) -> JsjTree:
     """Parse and validate a raw tree description; raises on any violation."""
-    violations = tree_violations(raw)
+    tree, violations = _parse_tree(raw)
     if violations:
         raise TreeValidationError(violations)
-    vertices = {e["id"]: Geometry(e["geometry"]) for e in raw["vertices"]}
-    edges = tuple(
-        TreeEdge(e["u"], e["v"],
-                 RegionLabel(e["label_beyond_u"]), RegionLabel(e["label_beyond_v"]))
-        for e in raw["edges"])
-    return JsjTree(vertices, edges)
+    return tree
 
 
 def tree_to_dict(tree: JsjTree) -> dict:
@@ -236,26 +294,22 @@ def potential(tree: JsjTree) -> dict[str, int]:
     return {v: f - low for v, f in values.items()}
 
 
-def _local_minima(tree: JsjTree, values: dict[str, int]) -> set[str]:
-    adj = tree.adjacency()
-    return {
-        v for v in tree.vertices
-        if all(values[v] <= values[e.other_end(v)] for e in adj[v])
-    }
-
-
 def outermost(tree: JsjTree) -> set[str]:
     """Vertices all of whose far-side regions are solid tori or knotted
-    hole balls; always non-empty, and equal to the local minima of the
-    potential."""
-    adj = tree.adjacency()
-    result = {
-        v for v in tree.vertices
-        if all(e.label_away_from(v) is not RegionLabel.OTHER for e in adj[v])
-    }
-    minima = _local_minima(tree, potential(tree))
-    assert result == minima, "label criterion disagrees with potential minima"
-    assert result, "every finite tree has an outermost vertex"
+    hole balls.
+
+    On a valid tree the set is non-empty and equals the local minima of the
+    potential; the tests check both.  A tree with no such vertex breaks the
+    label constraints and raises ValueError.
+    """
+    result = set(tree.vertices)
+    for e in tree.edges:
+        if e.label_beyond_u is RegionLabel.OTHER:
+            result.discard(e.u)
+        if e.label_beyond_v is RegionLabel.OTHER:
+            result.discard(e.v)
+    if not result:
+        raise ValueError("no outermost vertex: the tree breaks the label constraints")
     return result
 
 
@@ -305,6 +359,25 @@ def _involution_violations(spec: CoverSpec) -> list[tuple[str, str]]:
     return violations
 
 
+def _quotient_violations(tree: JsjTree) -> list[tuple[str, str]]:
+    """The parser's checks, on the typed quotient."""
+    violations: list[tuple[str, str]] = []
+    pairs: list[tuple[str, str]] = []
+    for e in tree.edges:
+        if e.u not in tree.vertices or e.v not in tree.vertices or e.u == e.v:
+            violations.append(("NOT_A_TREE", f"bad edge endpoints {e.u!r}-{e.v!r}"))
+            continue
+        pairs.append((e.u, e.v))
+        if not _allowed_pair(e.label_beyond_u, e.label_beyond_v):
+            violations.append((
+                "FORBIDDEN_LABEL_PAIR",
+                f"edge {e.u!r}-{e.v!r} carries "
+                f"({e.label_beyond_u.value}, {e.label_beyond_v.value})"))
+    if not tree.vertices or len(pairs) == len(tree.edges):
+        violations.extend(_shape_violations(tree.vertices, pairs))
+    return violations
+
+
 def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
     violations = _involution_violations(spec)
     if violations:
@@ -320,7 +393,7 @@ def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
             edges[key] = TreeEdge(rep[e.u], rep[e.v],
                                   e.label_beyond_u, e.label_beyond_v)
     quotient_tree = JsjTree(vertices, tuple(edges.values()))
-    check = tree_violations(tree_to_dict(quotient_tree))
+    check = _quotient_violations(quotient_tree)
     if check:
         raise TreeValidationError(
             [("INVALID_INVOLUTION", f"quotient is invalid ({c}: {d})")
@@ -345,24 +418,28 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
     quotient_tree, rep = _quotient_with_map(spec)
     outer = outermost(quotient_tree)
     sigma = spec.vertex_map
-    adj = spec.cover.adjacency()
+    # far-side regions in the cover that are not solid tori, per vertex
+    non_st = dict.fromkeys(spec.cover.vertices, 0)
+    for e in spec.cover.edges:
+        if e.label_beyond_u is not RegionLabel.SOLID_TORUS:
+            non_st[e.u] += 1
+        if e.label_beyond_v is not RegionLabel.SOLID_TORUS:
+            non_st[e.v] += 1
 
     entries = []
     for qv in sorted(quotient_tree.vertices):
+        # rep maps cover ids onto quotient ids; orbit reps are their own image
+        if rep[qv] != qv:
+            raise RuntimeError(f"quotient vertex {qv!r} does not represent its orbit")
         orbit = tuple(sorted({qv, sigma[qv]}))
         if len(orbit) == 1:
-            non_st = sum(
-                1 for e in adj[qv]
-                if e.label_away_from(qv) is not RegionLabel.SOLID_TORUS)
-            criterion = non_st % 2 == 0
+            criterion = non_st[qv] % 2 == 0
         else:
             criterion = False  # disconnected preimage
         is_outer = qv in outer
         entries.append(CoverCheckEntry(
             vertex=qv, orbit=orbit, outermost=is_outer,
             criterion=criterion, agree=is_outer == criterion))
-    # rep maps cover ids onto quotient ids; orbit reps are their own image
-    assert all(rep[e.vertex] == e.vertex for e in entries)
     return tuple(entries)
 
 
@@ -370,10 +447,20 @@ def cover_from_dict(raw: dict) -> CoverSpec:
     """Parse {"vertices": ..., "edges": ..., "involution": {"vertex_map": ...}}."""
     tree = validate_tree(raw)
     inv = raw.get("involution", {})
+    if not isinstance(inv, dict):
+        raise TreeValidationError(
+            [("INVALID_INPUT", f"involution must be an object, got {type(inv).__name__}")])
     vmap = inv.get("vertex_map")
     if not isinstance(vmap, dict):
         raise TreeValidationError(
             [("INVALID_INVOLUTION", "missing involution.vertex_map")])
+    for v, w in vmap.items():
+        try:
+            hash(w)
+        except TypeError:
+            raise TreeValidationError(
+                [("INVALID_INPUT", f"vertex_map values must be vertex ids, got "
+                                   f"{type(w).__name__} for {v!r}")]) from None
     return CoverSpec(tree, dict(vmap))
 
 

@@ -161,8 +161,16 @@ def test_criterion_7_tree_suite():
             else:
                 tail, head = orient
                 assert values[tail] + 1 == values[head]
-        # outermost() itself asserts label criterion == local minima
-        assert outermost(tree)
+        # the label criterion is non-empty and equals the local minima
+        outer = outermost(tree)
+        assert outer
+        minima = set(tree.vertices)
+        for edge in tree.edges:
+            if values[edge.u] > values[edge.v]:
+                minima.discard(edge.u)
+            elif values[edge.v] > values[edge.u]:
+                minima.discard(edge.v)
+        assert outer == minima
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"tree suite took {elapsed:.2f}s"
     report(7, f"10^4 trees (max {max(sizes)} vertices): potentials, "

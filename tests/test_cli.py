@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlink.cli import main
 
@@ -165,6 +171,33 @@ class TestJsj:
         assert out["mismatches"] == 0
         assert all(v["agree"] for v in out["vertices"])
 
+    @pytest.mark.parametrize("subcommand, payload", [
+        ("outermost", []),
+        ("cover-check", []),
+        ("outermost", {"vertices": [1]}),
+        ("cover-check", {"vertices": [1]}),
+        ("cover-check", {"vertices": [{"id": "a", "geometry": "seifert"}],
+                         "edges": [],
+                         "involution": {"vertex_map": {"a": ["a"]}}}),
+        ("outermost", {"vertices": [{"id": "a", "geometry": "seifert"},
+                                    {"id": "b", "geometry": "seifert"}],
+                       "edges": [{"u": "a", "v": ["b"], "label_beyond_u": "st",
+                                  "label_beyond_v": "other"}]}),
+        ("cover-check", {"vertices": [{"id": "a", "geometry": "seifert"},
+                                      {"id": "b", "geometry": "seifert"}],
+                         "edges": [{"u": ["a"], "v": "b", "label_beyond_u": "st",
+                                    "label_beyond_v": "other"}],
+                         "involution": {"vertex_map": {"a": "a", "b": "b"}}}),
+    ])
+    def test_invalid_input_is_a_structured_error(self, capsys, tmp_path,
+                                                 subcommand, payload):
+        code, out, err = run(capsys, "jsj", subcommand,
+                             self.write(tmp_path, payload))
+        assert code == 1
+        assert out["status"] == "ERROR"
+        assert out["violations"][0]["code"] == "INVALID_INPUT"
+        assert "INVALID_INPUT" in err and "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "jsj", "outermost",
                              str(tmp_path / "absent.json"))
@@ -175,6 +208,59 @@ class TestJsj:
         path.write_text("{not json")
         code, out, _ = run(capsys, "jsj", "outermost", str(path))
         assert code == 2 and out is None
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
+                             ids=["not-utf8", "too-deep"])
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "jsj", "cover-check", str(path))
+        assert code == 2 and out is None and "cannot read" in err
+
+
+_KEYS = st.sampled_from(["vertices", "edges", "involution", "vertex_map", "id",
+                         "geometry", "u", "v", "label_beyond_u",
+                         "label_beyond_v", "a", "b"]) | st.text(max_size=3)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4)
+            | st.sampled_from(["a", "b", "c", "st", "khb", "other", "seifert",
+                               "hyperbolic"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_KEYS, children, max_size=5),
+    max_leaves=20)
+_IDS = st.sampled_from(["a", "b", "c"]) | _JSON
+_LABELS = st.sampled_from(["st", "khb", "other"]) | _JSON
+# Tree- and cover-shaped documents, so that fuzzing reaches the potential,
+# the outermost set and the cover check, not only the parser.
+_TREES = st.fixed_dictionaries(
+    {"vertices": st.lists(st.fixed_dictionaries({
+        "id": _IDS, "geometry": st.sampled_from(["seifert", "hyperbolic"]) | _JSON}),
+        max_size=4),
+     "edges": st.lists(st.fixed_dictionaries({
+         "u": _IDS, "v": _IDS, "label_beyond_u": _LABELS, "label_beyond_v": _LABELS}),
+         max_size=4)},
+    optional={"involution": st.fixed_dictionaries(
+        {"vertex_map": st.dictionaries(st.sampled_from(["a", "b", "c"]), _IDS,
+                                       max_size=3)}) | _JSON})
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_JSON | _TREES,
+       subcommand=st.sampled_from(["outermost", "cover-check"]))
+def test_jsj_fuzz_gives_one_document_and_no_traceback(payload, subcommand):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["jsj", subcommand, path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())  # raises on a second document
 
 
 class TestUsage:

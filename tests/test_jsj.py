@@ -28,6 +28,17 @@ ST, KHB, OTHER = (RegionLabel.SOLID_TORUS, RegionLabel.KNOTTED_HOLE_BALL,
                   RegionLabel.OTHER)
 
 
+def local_minima(tree, values):
+    """Vertices whose potential is at most that of every neighbour."""
+    minima = set(tree.vertices)
+    for e in tree.edges:
+        if values[e.u] > values[e.v]:
+            minima.discard(e.u)
+        elif values[e.v] > values[e.u]:
+            minima.discard(e.v)
+    return minima
+
+
 def raw_tree(vertices, edges):
     return {
         "vertices": [{"id": v, "geometry": "seifert"} for v in vertices],
@@ -73,6 +84,25 @@ class TestValidateTree:
     def test_disconnected_rejected(self):
         raw = raw_tree(["a", "b", "c", "d"],
                        [("a", "b", ST, OTHER), ("c", "d", ST, OTHER)])
+        with pytest.raises(TreeValidationError):
+            validate_tree(raw)
+
+    @pytest.mark.parametrize("raw", [
+        [],
+        "tree",
+        None,
+        {"vertices": [1]},
+        {"vertices": {"a": "seifert"}},
+        {"vertices": [{"id": "a", "geometry": "seifert"}], "edges": None},
+        {"vertices": [{"id": "a", "geometry": "seifert"}], "edges": [["a", "a"]]},
+        {"vertices": [{"id": "a", "geometry": "seifert"},
+                      {"id": "b", "geometry": "seifert"}],
+         "edges": [{"u": ["a"], "v": "b", "label_beyond_u": "st",
+                    "label_beyond_v": "other"}]},
+    ])
+    def test_non_tree_shapes_are_invalid_input(self, raw):
+        codes = [c for c, _ in tree_violations(raw)]
+        assert "INVALID_INPUT" in codes
         with pytest.raises(TreeValidationError):
             validate_tree(raw)
 
@@ -130,12 +160,22 @@ class TestOutermost:
         assert outermost(tree) == {"a", "b"}
 
     def test_random_trees_nonempty_and_consistent(self):
-        # outermost() internally asserts the label criterion equals the
-        # local-minimum criterion and that the set is non-empty
+        # the label criterion equals the local-minimum criterion, and the
+        # set is non-empty
         rng = random.Random(23)
         for _ in range(300):
             tree = random_jsj_tree(rng, rng.randint(1, 60))
-            assert outermost(tree)
+            outer = outermost(tree)
+            assert outer
+            assert outer == local_minima(tree, potential(tree))
+
+    def test_no_outermost_vertex_raises(self):
+        # An edge with OTHER on both sides breaks the label constraints and
+        # leaves no outermost vertex; this must raise under python -O too.
+        tree = JsjTree({"a": Geometry.SEIFERT, "b": Geometry.SEIFERT},
+                       (TreeEdge("a", "b", OTHER, OTHER),))
+        with pytest.raises(ValueError):
+            outermost(tree)
 
 
 def path_cover():
@@ -253,6 +293,19 @@ class TestLemma44:
         for _ in range(200):
             spec = random_cover_spec(rng, rng.randint(1, 50))
             assert all(e.agree for e in lemma44_check(spec))
+
+    @pytest.mark.parametrize("involution", [
+        [],
+        None,
+        {"vertex_map": {"a": ["a"], "b1": "b2", "b2": "b1"}},
+        {"vertex_map": {"a": "a", "b1": {"b2": 1}, "b2": "b1"}},
+    ])
+    def test_malformed_involution_is_invalid_input(self, involution):
+        raw = cover_to_dict(path_cover())
+        raw["involution"] = involution
+        with pytest.raises(TreeValidationError) as err:
+            cover_from_dict(raw)
+        assert [c for c, _ in err.value.violations] == ["INVALID_INPUT"]
 
     def test_serialization_roundtrip(self):
         spec = path_cover()

@@ -1,0 +1,290 @@
+"""Pins on the JSJ layer: generator streams, violation lists and CLI stdout.
+
+The SHA-256 digests below were recorded from the two-pass tree parser
+(`tree_violations` walking the raw dict, then `validate_tree` walking it
+again) that the single parser replaced, and from the generators before
+their constants moved to module level.  They pin, byte for byte, the trees
+and covers every seed yields, the violation list of every malformed tree in
+a fixed corpus, and what `projlink jsj` prints on valid and invalid inputs.
+"""
+
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import random
+
+import pytest
+
+from projlink.cli import main
+from projlink.generators import random_cover_spec, random_jsj_tree
+from projlink.jsj import (
+    CoverSpec,
+    Geometry,
+    JsjTree,
+    RegionLabel,
+    TreeEdge,
+    TreeValidationError,
+    cover_to_dict,
+    quotient,
+    tree_to_dict,
+    tree_violations,
+)
+
+ST, OTHER = RegionLabel.SOLID_TORUS, RegionLabel.OTHER
+TREE_SIZES = (0, 1, 2, 3, 7, 30, 200)
+COVER_SIZES = (1, 2, 5, 20, 120)
+MOVE_BIASES = (0.0, 0.5, 1.0)
+
+STREAM_DIGESTS = {
+    "trees": "6e9ec4abbc17a8aebdcd26cbc3ac6b6bbef82142c04d0f226afa13c0698f9249",
+    "covers": "85ad0794dc709c068c7b8fd45dc10cc7d841940a207a9606302fd5b6a26e036d",
+}
+VIOLATIONS_DIGEST = "f85f73a7b779d5399a3ddbea9aa28c9cf5778902e83842c1ad5af49fbce67c89"
+STDOUT_DIGESTS = {
+    "outermost": "78cbcce4e9afb15b1759b330c31ba0f83fd02733969005ea4deec9984174666b",
+    "cover-check": "f1f5840961b592a54a9f1f0425ef14141cd846c66fcfcef6bf792ed09880d7e2",
+    "hand": "d7cda95a129653d05e4894326834896e27ce38a5aab59fabe4066a29fff6a85e",
+}
+
+
+def _canonical_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True).encode()
+
+
+def tree_stream_digest() -> str:
+    """One generator per seed, asked for every size in turn."""
+    digest = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(seed)
+        for size in TREE_SIZES:
+            digest.update(_canonical_json(tree_to_dict(random_jsj_tree(rng, size))))
+    return digest.hexdigest()
+
+
+def cover_stream_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(seed)
+        for size in COVER_SIZES:
+            for bias in MOVE_BIASES:
+                spec = random_cover_spec(rng, size, move_bias=bias)
+                digest.update(_canonical_json(cover_to_dict(spec)))
+    return digest.hexdigest()
+
+
+# Hand-written malformed trees, one per violation and one per corner of the
+# checks' short-circuit order.
+HAND_CORPUS = [
+    {},
+    {"vertices": []},
+    {"edges": [{"u": "a", "v": "b"}]},
+    {"vertices": [{"id": "a", "geometry": "seifert"}] * 2},
+    {"vertices": [{"id": 7, "geometry": "seifert"}, {"geometry": "seifert"}]},
+    {"vertices": [{"id": "a", "geometry": "euclidean"},
+                  {"id": "b", "geometry": ["seifert"]}, {"id": "c"}]},
+    {"vertices": [{"id": "a", "geometry": "seifert"}],
+     "edges": [{"u": "a", "v": "a", "label_beyond_u": "st",
+                "label_beyond_v": "st"}]},
+    # the first endpoint is already unknown, so the second is never looked up
+    {"vertices": [{"id": "a", "geometry": "seifert"}],
+     "edges": [{"u": "zz", "v": ["a"], "label_beyond_u": "st",
+                "label_beyond_v": "st"}]},
+    {"vertices": [{"id": "a", "geometry": "seifert"},
+                  {"id": "b", "geometry": "seifert"}],
+     "edges": [{"u": "a", "v": "b", "label_beyond_u": ["st"],
+                "label_beyond_v": "other"}]},
+    {"vertices": [{"id": "a", "geometry": "seifert"},
+                  {"id": "b", "geometry": "seifert"}],
+     "edges": [{"u": "a", "v": "b", "label_beyond_u": "st",
+                "label_beyond_v": None}]},
+    {"vertices": [{"id": "a", "geometry": "seifert"},
+                  {"id": "b", "geometry": "hyperbolic"},
+                  {"id": "c", "geometry": "seifert"}],
+     "edges": [{"u": "a", "v": "b", "label_beyond_u": "khb",
+                "label_beyond_v": "st"},
+               {"u": "b", "v": "c", "label_beyond_u": "other",
+                "label_beyond_v": "other"},
+               {"u": "c", "v": "a", "label_beyond_u": "st",
+                "label_beyond_v": "st"}]},
+    # the right number of edges, but a cycle and an isolated vertex
+    {"vertices": [{"id": x, "geometry": "hyperbolic"} for x in "abcd"],
+     "edges": [{"u": u, "v": v, "label_beyond_u": "st", "label_beyond_v": "st"}
+               for u, v in ("ab", "bc", "ca")]},
+]
+
+
+def _path_cover(vertex_map, label="khb") -> dict:
+    return {
+        "vertices": [{"id": "a", "geometry": "seifert"},
+                     {"id": "b1", "geometry": "hyperbolic"},
+                     {"id": "b2", "geometry": "hyperbolic"}],
+        "edges": [{"u": "a", "v": b, "label_beyond_u": label,
+                   "label_beyond_v": "other"} for b in ("b1", "b2")],
+        "involution": {"vertex_map": vertex_map},
+    }
+
+
+# Covers whose involution is missing or breaks one rule each, and one valid.
+HAND_COVERS = [
+    {k: v for k, v in _path_cover({}).items() if k != "involution"},
+    _path_cover({"a": "a", "b1": "b1"}),
+    _path_cover({"a": "b1", "b1": "b2", "b2": "a"}),
+    _path_cover({"a": "a", "b1": "b1", "b2": "b2"}),
+    _path_cover({"a": "b1", "b1": "a", "b2": "b2"}),
+    _path_cover({"a": "a", "b1": "b2", "b2": "b1"}, label="st"),
+]
+
+
+def _mutate(rng: random.Random, raw: dict) -> None:
+    """Break a valid raw tree in one of the ways the checks look for."""
+    vertices, edges = raw["vertices"], raw["edges"]
+    ids = [entry.get("id") for entry in vertices] or ["v0"]
+    kind = rng.randrange(14)
+    if kind == 0 and vertices:
+        rng.choice(vertices)["id"] = rng.choice(ids)
+    elif kind == 1 and vertices:
+        rng.choice(vertices)["id"] = rng.choice([7, None, 1.5, ["v0"]])
+    elif kind == 2 and vertices:
+        rng.choice(vertices).pop("id", None)
+    elif kind == 3 and vertices:
+        rng.choice(vertices)["geometry"] = rng.choice(
+            ["euclidean", None, 3, ["seifert"], "SEIFERT"])
+    elif kind == 4 and vertices:
+        vertices.pop(rng.randrange(len(vertices)))
+    elif kind == 5 and edges:
+        entry = rng.choice(edges)
+        entry[rng.choice("uv")] = rng.choice(["zz", 0, None, True] + ids)
+    elif kind == 6 and edges:
+        rng.choice(edges).pop(rng.choice(["label_beyond_u", "label_beyond_v"]), None)
+    elif kind == 7 and edges:
+        rng.choice(edges)[rng.choice(["label_beyond_u", "label_beyond_v"])] = \
+            rng.choice(["torus", None, 0, ["st"], {"st": 1}, "ST"])
+    elif kind == 8 and edges:
+        entry = rng.choice(edges)
+        entry["label_beyond_u"] = rng.choice(["st", "khb", "other"])
+        entry["label_beyond_v"] = rng.choice(["st", "khb", "other"])
+    elif kind == 9 and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == 10 and len(ids) >= 2:
+        u, v = rng.sample(ids, 2)
+        edges.append({"u": u, "v": v, "label_beyond_u": "st",
+                      "label_beyond_v": "other"})
+    elif kind == 11 and edges:
+        edges.append(copy.deepcopy(rng.choice(edges)))
+    elif kind == 12:
+        raw[rng.choice(["vertices", "edges"])] = []
+    elif kind == 13 and edges:
+        entry = rng.choice(edges)
+        entry["u"], entry["v"] = entry["v"], entry["u"]
+
+
+def malformed_corpus() -> list[dict]:
+    rng = random.Random(2024)
+    corpus = copy.deepcopy(HAND_CORPUS)
+    for _ in range(600):
+        raw = tree_to_dict(random_jsj_tree(rng, rng.randint(1, 12)))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, raw)
+        corpus.append(raw)
+    return corpus
+
+
+def violations_digest() -> str:
+    digest = hashlib.sha256()
+    for raw in malformed_corpus():
+        digest.update(_canonical_json(tree_violations(raw)) + b"\n")
+    return digest.hexdigest()
+
+
+def _jsj_stdout(tmp_path, subcommand: str, payload) -> tuple[int, bytes]:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["jsj", subcommand, str(path)])
+    return code, out.getvalue().encode()
+
+
+def cli_digests(tmp_path) -> dict[str, str]:
+    """Digests of concatenated stdout, with each invocation's exit code."""
+    rng = random.Random(77)
+    digests = {}
+    runs = {
+        "outermost": [("outermost", tree_to_dict(random_jsj_tree(rng, size)))
+                      for size in (1, 2, 9, 40, 150)],
+        "cover-check": [("cover-check", cover_to_dict(random_cover_spec(rng, size)))
+                        for size in (1, 3, 12, 60)],
+        "hand": [("outermost", raw) for raw in HAND_CORPUS]
+                   + [("cover-check", raw) for raw in HAND_COVERS],
+    }
+    for name, calls in runs.items():
+        digest = hashlib.sha256()
+        for subcommand, payload in calls:
+            code, stdout = _jsj_stdout(tmp_path, subcommand, payload)
+            digest.update(f"{code}\n".encode() + stdout)
+        digests[name] = digest.hexdigest()
+    return digests
+
+
+def test_tree_stream_is_unchanged():
+    assert tree_stream_digest() == STREAM_DIGESTS["trees"]
+
+
+def test_cover_stream_is_unchanged():
+    assert cover_stream_digest() == STREAM_DIGESTS["covers"]
+
+
+def test_violation_lists_are_unchanged():
+    assert violations_digest() == VIOLATIONS_DIGEST
+
+
+def test_hand_corpus_violations():
+    got = [tree_violations(raw) for raw in HAND_CORPUS]
+    assert got[0] == [("NOT_A_TREE", "no vertices")]
+    assert got[7] == [("NOT_A_TREE", "bad edge endpoints 'zz'-['a']")]
+    assert got[8] == [("UNLABELED_EDGE", "edge 'a'-'b' lacks labels")]
+    assert got[10] == [
+        ("FORBIDDEN_LABEL_PAIR", "edge 'a'-'b' carries (khb, st)"),
+        ("FORBIDDEN_LABEL_PAIR", "edge 'b'-'c' carries (other, other)"),
+        ("NOT_A_TREE", "3 vertices need 2 edges, got 3")]
+    assert got[11] == [("NOT_A_TREE", "graph is not connected")]
+
+
+def test_jsj_stdout_is_unchanged(tmp_path):
+    assert cli_digests(tmp_path) == STDOUT_DIGESTS
+
+
+def _hand_cover(ids: str, edges, swap: str = "") -> CoverSpec:
+    """A hand-built cover fixing every vertex but the pair in `swap`."""
+    tree = JsjTree({v: Geometry.SEIFERT for v in ids},
+                   tuple(TreeEdge(u, v, lu, lv) for u, v, lu, lv in edges))
+    vertex_map = {v: v for v in ids}
+    if swap:
+        vertex_map[swap[0]], vertex_map[swap[1]] = swap[1], swap[0]
+    return CoverSpec(tree, vertex_map)
+
+
+# Hand-built covers the wire parser would reject, so that only the check of
+# the quotient catches them.
+@pytest.mark.parametrize("spec, detail", [
+    (_hand_cover("ab", [("a", "b", OTHER, OTHER)]),
+     "FORBIDDEN_LABEL_PAIR: edge 'a'-'b' carries (other, other)"),
+    (_hand_cover("ab", []), "NOT_A_TREE: 2 vertices need 1 edges, got 0"),
+    (_hand_cover("abc", [("a", "b", ST, OTHER), ("b", "c", ST, OTHER),
+                             ("c", "a", ST, OTHER)]),
+     "NOT_A_TREE: 3 vertices need 2 edges, got 3"),
+    (_hand_cover("abcd", [("a", "b", ST, ST), ("b", "c", ST, ST),
+                              ("c", "a", ST, ST)]),
+     "NOT_A_TREE: graph is not connected"),
+    # swapped loops at a and b quotient to a loop at a
+    (_hand_cover("abc", [("a", "a", ST, ST), ("b", "b", ST, ST),
+                             ("a", "c", ST, ST), ("b", "c", ST, ST)], swap="ab"),
+     "NOT_A_TREE: bad edge endpoints 'a'-'a'"),
+])
+def test_invalid_quotient_violations(spec, detail):
+    with pytest.raises(TreeValidationError) as err:
+        quotient(spec)
+    assert err.value.violations == [
+        ("INVALID_INVOLUTION", f"quotient is invalid ({detail})")]
