@@ -384,7 +384,8 @@ def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
         raise TreeValidationError(violations)
     tree, sigma = spec.cover, spec.vertex_map
     rep = {v: min(v, sigma[v]) for v in tree.vertices}
-    vertices = {r: tree.vertices[r] for r in set(rep.values())}
+    # In the cover's order, so the quotient does not depend on hashing.
+    vertices = {v: g for v, g in tree.vertices.items() if rep[v] == v}
 
     edges: dict[frozenset[str], TreeEdge] = {}
     for e in sorted(tree.edges, key=lambda e: tuple(sorted((e.u, e.v)))):

@@ -10,6 +10,15 @@ rewrite moves generate isotopy of these links:
   R3  isotope one parallel copy onto the core of the first handlebody,
   R4  isotope one parallel copy onto the core of the second handlebody.
 
+R3 (n = 0 -> 1) and R4 (n = 1 -> 2) scale (p, q) by the divisor k of the
+triple: k = p for R3; for R4, k = q in S^3 and k = -p + 2q in RP^3.  Forward,
+when k > 0 divides p and q, (p, q) becomes (k - 1)/k (p, q).  k is linear, so
+a backward move reads it off the image as k - 1 and scales by (k + 1)/k.  The
+images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
+take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
+(1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
+integers; `apply_relation` and `applicable_relations` read it.
+
 `canonical(space, p, q, n)` computes the normal form on plain integers:
 greedy forward reduction (R3/R4 always shrink |p| + |q|) followed by
 lexicographic minimization over the R1/R2 orbit.  R3 needs n = 0 and yields
@@ -119,12 +128,6 @@ class WitnessChain:
     def __len__(self):
         return len(self.steps)
 
-    def start(self):
-        return self.steps[0].before if self.steps else None
-
-    def end(self):
-        return self.steps[-1].after if self.steps else None
-
 
 class ClassificationKind(Enum):
     EMPTY = "EMPTY"
@@ -156,9 +159,7 @@ def component_count(link: TorusLink) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The relations.  Each forward move is a partial map on triples; backward
-# moves invert them.  The degenerate triples (0, 0; 1) and (0, 0; 2) have
-# many reduction preimages, so the backward maps pick a fixed canonical one.
+# The relations, on plain integers (see the module docstring for R3 and R4).
 
 
 def _swap(space: AmbientSpace, p: int, q: int) -> tuple[int, int]:
@@ -168,65 +169,58 @@ def _swap(space: AmbientSpace, p: int, q: int) -> tuple[int, int]:
     return -p + 2 * q, q
 
 
-def _reduce(space: AmbientSpace, p: int, q: int, n: int) -> tuple[int, int] | None:
-    """Forward R3 (n = 0) or R4 (n = 1) on (p, q), or None if it does not apply.
+def _reduce(space: AmbientSpace, p: int, q: int, n: int,
+            step: int = -1) -> tuple[int, int] | None:
+    """(k + step)/k (p, q) for the divisor k of R3 (n = 0) or R4 (n = 1).
 
-    The result carries n + 1 cores.
+    None when n is 2 or k does not divide p and q with k > 0.  With the
+    default step this is the forward move, whose result carries n + 1 cores.
     """
     if n == 0:
-        if p > 0 and q % p == 0:
-            return p - 1, (p - 1) * q // p
+        k = p
     elif n == 1:
-        if space is AmbientSpace.SPHERE3:
-            if q > 0 and p % q == 0:
-                return (q - 1) * p // q, q - 1
-        else:
-            k = -p + 2 * q
-            # k divides q, and p = 2q - k, so k divides p as well.
-            if k > 0 and q % k == 0:
-                return (k - 1) * p // k, (k - 1) * q // k
-    return None
+        k = q if space is AmbientSpace.SPHERE3 else -p + 2 * q
+    else:
+        return None
+    if k <= 0 or q % k or p % k:
+        return None
+    return p // k * (k + step), q // k * (k + step)
 
 
-def _r3_backward_ok(link: TorusLink) -> bool:
-    if link.n != 1:
-        return False
-    if link.p == 0:
-        return link.q == 0
-    return link.p > 0 and link.q % link.p == 0
+def _move(space: AmbientSpace, relation: Relation, direction: Direction,
+          p: int, q: int, n: int) -> tuple[int, int, int] | None:
+    """Image of one move on (p, q; n), or None when it does not apply.
+
+    R1 and R2 are involutions, so both directions give the same image.
+    """
+    if relation is Relation.R1:
+        return -p, -q, n
+    if relation is Relation.R2:
+        return (*_swap(space, p, q), n) if n in (0, 2) else None
+    low = 0 if relation is Relation.R3 else 1  # the n that the move raises
+    if direction is Direction.FORWARD:
+        image = _reduce(space, p, q, n) if n == low else None
+        return None if image is None else (*image, n + 1)
+    if n != low + 1:
+        return None
+    if p == 0 and q == 0:  # the fixed preimages of the module docstring
+        if relation is Relation.R3:
+            return 1, 0, 0
+        return (0, 1, 1) if space is AmbientSpace.SPHERE3 else (1, 1, 1)
+    image = _reduce(space, p, q, low, 1)
+    return None if image is None else (*image, low)
 
 
-def _r3_backward(link: TorusLink) -> TorusLink:
-    if link.p == 0:
-        return TorusLink(link.space, 1, 0, 0)
-    p, q = link.p, link.q
-    return TorusLink(link.space, p + 1, (p + 1) * q // p, 0)
-
-
-def _r4_backward_ok(link: TorusLink) -> bool:
-    if link.n != 2:
-        return False
-    p, q = link.p, link.q
-    if link.space is AmbientSpace.SPHERE3:
-        if q == 0:
-            return p == 0
-        return q > 0 and p % q == 0
-    m = -p + 2 * q
-    if m == 0:
-        return p == 0 and q == 0
-    return m > 0 and q % m == 0
-
-
-def _r4_backward(link: TorusLink) -> TorusLink:
-    p, q = link.p, link.q
-    if link.space is AmbientSpace.SPHERE3:
-        if (p, q) == (0, 0):
-            return TorusLink(link.space, 0, 1, 1)
-        return TorusLink(link.space, (q + 1) * p // q, q + 1, 1)
-    if (p, q) == (0, 0):
-        return TorusLink(link.space, 1, 1, 1)
-    m = -p + 2 * q
-    return TorusLink(link.space, (m + 1) * p // m, (m + 1) * q // m, 1)
+# Every move, in the order applicable_relations lists them.  R1 and R2 are
+# listed forward only.
+_MOVES = (
+    (Relation.R1, Direction.FORWARD),
+    (Relation.R2, Direction.FORWARD),
+    (Relation.R3, Direction.FORWARD),
+    (Relation.R3, Direction.BACKWARD),
+    (Relation.R4, Direction.FORWARD),
+    (Relation.R4, Direction.BACKWARD),
+)
 
 
 def applicable_relations(link: TorusLink) -> list[tuple[Relation, Direction]]:
@@ -235,19 +229,8 @@ def applicable_relations(link: TorusLink) -> list[tuple[Relation, Direction]]:
     R1 and R2 are involutions and are listed only in the forward direction;
     R3/R4 are listed backward whenever the inverse side-conditions hold.
     """
-    out: list[tuple[Relation, Direction]] = [(Relation.R1, Direction.FORWARD)]
-    if link.n in (0, 2):
-        out.append((Relation.R2, Direction.FORWARD))
-    reducible = _reduce(link.space, link.p, link.q, link.n) is not None
-    if reducible and link.n == 0:
-        out.append((Relation.R3, Direction.FORWARD))
-    if _r3_backward_ok(link):
-        out.append((Relation.R3, Direction.BACKWARD))
-    if reducible and link.n == 1:
-        out.append((Relation.R4, Direction.FORWARD))
-    if _r4_backward_ok(link):
-        out.append((Relation.R4, Direction.BACKWARD))
-    return out
+    space, p, q, n = link.space, link.p, link.q, link.n
+    return [move for move in _MOVES if _move(space, *move, p, q, n) is not None]
 
 
 def apply_relation(
@@ -258,31 +241,11 @@ def apply_relation(
     R1 and R2 are their own inverses, so both directions are accepted for
     them.  Raises NotApplicable when a side-condition fails.
     """
-    if relation is Relation.R1:
-        after = TorusLink(link.space, -link.p, -link.q, link.n)
-    elif relation is Relation.R2:
-        if link.n not in (0, 2):
-            raise NotApplicable(f"R2 requires n in {{0, 2}}, got {link!r}")
-        after = TorusLink(link.space, *_swap(link.space, link.p, link.q), link.n)
-    elif relation not in (Relation.R3, Relation.R4):  # pragma: no cover
-        raise NotApplicable(f"unknown relation {relation!r}")
-    elif direction is Direction.FORWARD:
-        # R3 takes n = 0 to 1 and R4 takes n = 1 to 2.
-        image = None
-        if link.n == (0 if relation is Relation.R3 else 1):
-            image = _reduce(link.space, link.p, link.q, link.n)
-        if image is None:
-            raise NotApplicable(f"{relation.value} forward not applicable to {link!r}")
-        after = TorusLink(link.space, *image, link.n + 1)
-    elif relation is Relation.R3:
-        if not _r3_backward_ok(link):
-            raise NotApplicable(f"R3 backward not applicable to {link!r}")
-        after = _r3_backward(link)
-    else:
-        if not _r4_backward_ok(link):
-            raise NotApplicable(f"R4 backward not applicable to {link!r}")
-        after = _r4_backward(link)
-    return RelationStep(relation, direction, link, after)
+    image = _move(link.space, relation, direction, link.p, link.q, link.n)
+    if image is None:
+        raise NotApplicable(
+            f"{relation.value} {direction.value} does not apply to {link!r}")
+    return RelationStep(relation, direction, link, TorusLink(link.space, *image))
 
 
 def replay_step(step: RelationStep) -> bool:

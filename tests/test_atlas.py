@@ -110,8 +110,8 @@ class TestConfluenceAudit:
         assert report.violations == ()
 
     def test_report_is_deterministic(self):
-        a = confluence_audit(RP3, 4).to_dict(include_elapsed=False)
-        b = confluence_audit(RP3, 4).to_dict(include_elapsed=False)
+        a = confluence_audit(RP3, 4).to_dict()
+        b = confluence_audit(RP3, 4).to_dict()
         assert a == b
 
 

@@ -4,12 +4,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projlink
 from projlink.cli import main
 
 
@@ -75,6 +78,14 @@ class TestLift:
         code, out, _ = run(capsys, "lift", "2", "1", "1")
         assert code == 0
         assert out["lift"] == {"space": "s3", "p": 2, "q": 0, "n": 1}
+
+    def test_result_too_long_to_print_is_a_usage_error(self, capsys):
+        # Both inputs have 4300 digits, the most int() reads by default;
+        # the lift's q = -p + 2q has one digit more.
+        nines = "9" * 4300
+        code, out, err = run(capsys, "lift", "-" + nines, nines, "0")
+        assert code == 2 and out is None
+        assert "cannot be printed" in err and "Traceback" not in err
 
 
 class TestAtlas:
@@ -261,6 +272,56 @@ def test_jsj_fuzz_gives_one_document_and_no_traceback(payload, subcommand):
     assert "Traceback" not in err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue())  # raises on a second document
+
+
+# Integer-like and other arguments for canon, isotopic and lift: huge (up to
+# and past the 4300 digits int() reads), negative, n outside {0, 1, 2}, and
+# values that are not integers.  Strings that begin with "-" come only from
+# the numbers, "-0" and "--", so argparse never sees a help flag.
+_HUGE = st.integers(4290, 4310).flatmap(
+    lambda digits: st.sampled_from(["9" * digits, "-" + "9" * digits]))
+_ARGS = (st.integers(-3, 5).map(str)
+         | st.integers().map(str)
+         | st.integers(-10**40, 10**40).map(str)
+         | _HUGE
+         | st.sampled_from(["", " ", "1.5", "-0", "+3", " 7", "1e3", "0x10",
+                            "nan", "1_000", "--"])
+         | st.text(max_size=5).filter(lambda a: not a.startswith("-")))
+_COMMANDS = st.sampled_from([
+    ["canon", "--space", "s3"], ["canon", "--space", "rp3"],
+    ["isotopic", "--space", "s3"], ["isotopic", "--space", "rp3"], ["lift"]])
+
+
+@st.composite
+def _integer_argv(draw):
+    command = draw(_COMMANDS)
+    arity = 6 if command[0] == "isotopic" else 3
+    count = draw(st.sampled_from([arity, arity, arity, arity - 1, arity + 1]))
+    return command + draw(st.lists(_ARGS, min_size=count, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_integer_argv())
+def test_integer_argument_fuzz_gives_one_document_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue())  # raises on a second document
+
+
+def test_cli_does_not_import_atlas_or_jsj():
+    src = os.path.dirname(os.path.dirname(projlink.__file__))
+    script = ("import sys, projlink.cli\n"
+              "print('projlink.atlas' in sys.modules, 'projlink.jsj' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["False", "False"]
 
 
 class TestUsage:

@@ -1,9 +1,13 @@
 """JSJ trees: validation, potentials, outermost pieces, covers, quotients."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import projlink
 from projlink.generators import random_cover_spec, random_jsj_tree
 from projlink.jsj import (
     CoverSpec,
@@ -253,6 +257,26 @@ class TestQuotient:
             fixed = sum(1 for v, w in spec.vertex_map.items() if v == w)
             tree = quotient(spec)
             assert len(spec.cover.vertices) == 2 * len(tree.vertices) - fixed
+
+    def test_vertex_order_follows_the_cover(self):
+        spec = random_cover_spec(random.Random(3), 8)
+        sigma = spec.vertex_map
+        assert list(quotient(spec).vertices) == [
+            v for v in spec.cover.vertices if v <= sigma[v]]
+
+    def test_vertex_order_does_not_depend_on_the_hash_seed(self):
+        script = ("import random\n"
+                  "from projlink.generators import random_cover_spec\n"
+                  "from projlink.jsj import quotient\n"
+                  "print(list(quotient(random_cover_spec(random.Random(3), 8)).vertices))\n")
+        src = os.path.dirname(os.path.dirname(projlink.__file__))
+        orders = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            orders.add(proc.stdout)
+        assert len(orders) == 1
 
 
 class TestLemma44:

@@ -1,5 +1,7 @@
 """Unit and property tests for the torus-link calculus."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,25 @@ RP3 = AmbientSpace.RP3
 spaces = st.sampled_from([S3, RP3])
 coeffs = st.integers(min_value=-200, max_value=200)
 triples = st.builds(make_link, spaces, coeffs, coeffs, st.integers(0, 2))
+big = st.integers(min_value=-10**18, max_value=10**18)
+
+
+@st.composite
+def big_triples(draw):
+    """Triples up to 10^18, most of them built so that R3 or R4 applies."""
+    space = draw(spaces)
+    n = draw(st.integers(0, 2))
+    k = draw(st.integers(1, 10**9))
+    m = draw(st.integers(-10**9, 10**9))
+    shape = draw(st.sampled_from(["any", "k|p,q", "R4 in RP3"]))
+    if shape == "any":
+        p, q = draw(big), draw(big)
+    elif shape == "k|p,q":
+        p, q = draw(st.permutations([k, k * m]))
+    else:  # -p + 2q = k divides q
+        q = k * m
+        p = 2 * q - k
+    return make_link(space, p, q, n)
 
 
 class TestMakeLink:
@@ -107,7 +128,7 @@ class TestApplyRelation:
         with pytest.raises(NotApplicable):
             apply_relation(make_link(S3, 2, 2, 1), Relation.R2)
 
-    @given(triples)
+    @given(triples | big_triples())
     def test_backward_inverts_forward(self, link):
         for rel, direction in applicable_relations(link):
             if direction is not Direction.FORWARD or rel in (
@@ -121,6 +142,46 @@ class TestApplyRelation:
             back = apply_relation(step.after, rel, Direction.BACKWARD)
             if (step.after.p, step.after.q) != (0, 0):
                 assert back.after == link
+
+    @given(triples | big_triples())
+    def test_forward_inverts_backward(self, link):
+        for rel in (Relation.R3, Relation.R4):
+            if (rel, Direction.BACKWARD) not in applicable_relations(link):
+                continue
+            back = apply_relation(link, rel, Direction.BACKWARD)
+            assert apply_relation(back.after, rel).after == link
+
+
+# Per space: SHA-256 of one line per triple with |p|, |q| <= 40, listing its
+# applicable moves and the image of every relation in both directions ("-"
+# where NotApplicable is raised).  Recorded before the moves were rewritten
+# on one integer function, so it pins every move the calculus makes.
+MOVE_DIGESTS_BOUND_40 = {
+    S3: "89b573419d009c6e4effb5e58ad0881959192d247d4d31910cfcaf68338b4e07",
+    RP3: "5c982b17f261c93874bdec8e956fbf2fe7ab0b7749b2e9219755145ecd68d0c7",
+}
+
+
+@pytest.mark.parametrize("space", [S3, RP3])
+def test_every_move_at_bound_40_is_unchanged(space):
+    digest = hashlib.sha256()
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            for n in (0, 1, 2):
+                link = TorusLink(space, p, q, n)
+                listed = " ".join(f"{r.value}{d.value}"
+                                  for r, d in applicable_relations(link))
+                images = []
+                for relation in Relation:
+                    for direction in Direction:
+                        try:
+                            after = apply_relation(link, relation, direction).after
+                        except NotApplicable:
+                            images.append("-")
+                        else:
+                            images.append(f"{after.p},{after.q},{after.n}")
+                digest.update(f"{p},{q},{n} {listed} {' '.join(images)}\n".encode())
+    assert digest.hexdigest() == MOVE_DIGESTS_BOUND_40[space]
 
 
 class TestNormalForm:
