@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .links import (
     AmbientSpace,
     TorusLink,
     _MOVES,
+    _lift,
     _move,
     _reduce,
     _swap,
     canonical,
-    lift,
     link_to_dict,
 )
 
@@ -53,6 +53,26 @@ class Atlas:
             ],
         }
 
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_dict(), sort_keys=True, indent=2).
+
+        json's C encoder does not indent, so the text is written directly,
+        with one template for every link record, indented by `i`.
+        """
+        space = self.space.value
+        record = '{{\n{i}  "n": %d,\n{i}  "p": %d,\n{i}  "q": %d,\n{i}  "space": "{s}"\n{i}}}'
+        member = record.format(i=" " * 8, s=space)
+        normal_form = record.format(i=" " * 6, s=space)
+        classes = ",\n".join(
+            '    {\n      "members": [\n        '
+            + ",\n        ".join([member % (m.n, m.p, m.q) for m in members])
+            + '\n      ],\n      "normal_form": '
+            + normal_form % (key.n, key.p, key.q) + "\n    }"
+            for key, members in sorted(
+                self.classes.items(), key=lambda kv: kv[0].sort_key()))
+        return (f'{{\n  "bound": {self.bound},\n  "classes": [\n{classes}\n  ],\n'
+                f'  "space": "{space}"\n}}')
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -78,16 +98,17 @@ class VerificationReport:
         return out
 
 
-def universe(space: AmbientSpace, bound: int) -> list[TorusLink]:
-    """All triples with |p|, |q| <= bound, in lexicographic (p, q, n) order."""
+def _triples(bound: int):
+    """All (p, q, n) with |p|, |q| <= bound, in lexicographic order."""
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    return [
-        TorusLink(space, p, q, n)
-        for p in range(-bound, bound + 1)
-        for q in range(-bound, bound + 1)
-        for n in (0, 1, 2)
-    ]
+    span = range(-bound, bound + 1)
+    return product(span, span, (0, 1, 2))
+
+
+def universe(space: AmbientSpace, bound: int) -> list[TorusLink]:
+    """All triples with |p|, |q| <= bound, in lexicographic (p, q, n) order."""
+    return [TorusLink(space, p, q, n) for p, q, n in _triples(bound)]
 
 
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
@@ -224,7 +245,7 @@ def verify_lift_injectivity(bound: int) -> VerificationReport:
     by_base: dict[tuple, dict[tuple, TorusLink]] = {}
     for link in links:
         base_key = _key(link)
-        lift_key = _key(lift(link))
+        lift_key = canonical(AmbientSpace.SPHERE3, *_lift(link.p, link.q), link.n)
         by_lift.setdefault(lift_key, {}).setdefault(base_key, link)
         by_base.setdefault(base_key, {}).setdefault(lift_key, link)
 
@@ -264,28 +285,27 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
 
     Applies every applicable move to every triple in the bounded universe
     and checks that the lifted endpoints are isotopic in S^3, recording the
-    length of the longest witness chain `isotopic` would return.
+    length of the longest witness chain `isotopic` would return.  On plain
+    integers; the lift of each triple is reduced once, for all its moves.
     """
     t0 = time.perf_counter()
+    rp3, s3 = AmbientSpace.RP3, AmbientSpace.SPHERE3
     violations: list[dict] = []
     checked = 0
     max_chain = 0
-    for link in universe(AmbientSpace.RP3, bound):
+    for p, q, n in _triples(bound):
+        moves_a: list = []
+        key_a = canonical(s3, *_lift(p, q), n, moves_a)
         for relation, direction in _MOVES:
-            image = _move(link.space, relation, direction, link.p, link.q, link.n)
+            image = _move(rp3, relation, direction, p, q, n)
             if image is None:
                 continue
-            after = TorusLink(link.space, *image)
-            a, b = lift(link), lift(after)
-            moves_a: list = []
-            moves_b: list = []
-            ok = (canonical(a.space, a.p, a.q, a.n, moves_a)
-                  == canonical(b.space, b.p, b.q, b.n, moves_b))
             checked += 1
-            if not ok:
+            moves_b: list = []
+            if canonical(s3, *_lift(image[0], image[1]), image[2], moves_b) != key_a:
                 violations.append({
-                    "a": link_to_dict(link),
-                    "b": link_to_dict(after),
+                    "a": link_to_dict(TorusLink(rp3, p, q, n)),
+                    "b": link_to_dict(TorusLink(rp3, *image)),
                     "evidence": f"{relation.value} {direction.value} instance "
                                 "whose lifts are not S^3-isotopic",
                 })

@@ -122,7 +122,7 @@ def _cmd_atlas(args) -> int:
 
     if args.bound < 0:
         raise CalculusError(f"--bound must be >= 0, got {args.bound}")
-    _emit(atlas.enumerate_classes(AmbientSpace(args.space), args.bound).to_dict())
+    print(atlas.enumerate_classes(AmbientSpace(args.space), args.bound).to_json())
     return 0
 
 

@@ -394,11 +394,16 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
     return True, concat_chains(normal_form(a)[1], reverse_chain(normal_form(b)[1]))
 
 
+def _lift(p: int, q: int) -> tuple[int, int]:
+    """The lift on coefficients: (p, q) -> (p, -p + 2q); n is kept."""
+    return p, -p + 2 * q
+
+
 def lift(link: TorusLink) -> TorusLink:
-    """Preimage in S^3 under the double cover: (p, q; n) -> (p, -p+2q; n)."""
+    """Preimage in S^3 under the double cover, by `_lift`."""
     if link.space is not AmbientSpace.RP3:
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")
-    return TorusLink(AmbientSpace.SPHERE3, link.p, -link.p + 2 * link.q, link.n)
+    return TorusLink(AmbientSpace.SPHERE3, *_lift(link.p, link.q), link.n)
 
 
 def classify(link: TorusLink) -> Classification:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from closure_oracle import closure_classes, same_class
+from projlink import atlas as atlas_module
 from projlink.atlas import (
     closure_partition,
     confluence_audit,
@@ -13,7 +14,7 @@ from projlink.atlas import (
     universe,
     verify_lift_injectivity,
 )
-from projlink.links import AmbientSpace, make_link, normal_form
+from projlink.links import AmbientSpace, canonical, make_link, normal_form
 
 S3 = AmbientSpace.SPHERE3
 RP3 = AmbientSpace.RP3
@@ -70,6 +71,12 @@ class TestEnumerateClasses:
         a = json.dumps(enumerate_classes(S3, 2).to_dict(), sort_keys=True)
         b = json.dumps(enumerate_classes(S3, 2).to_dict(), sort_keys=True)
         assert a == b
+
+    @pytest.mark.parametrize("space", [S3, RP3])
+    def test_to_json_is_the_indented_dump_of_to_dict(self, space):
+        for bound in range(16):
+            atlas = enumerate_classes(space, bound)
+            assert atlas.to_json() == json.dumps(atlas.to_dict(), sort_keys=True, indent=2)
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -149,3 +156,85 @@ class TestRelationLiftCompatibility:
         assert lift(step.after) == make_link(S3, 5, 1, 0)
         ok, chain = isotopic(lift(step.before), lift(step.after))
         assert ok and len(chain) >= 1
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            relation_lift_compatibility(-1)
+
+    # Recorded from the implementation that lifted each triple once per move.
+    @pytest.mark.parametrize("bound, checked, longest", [
+        (0, 7, 1), (1, 57, 7), (5, 685, 8), (15, 5133, 8), (30, 19375, 8)])
+    def test_report_is_unchanged(self, bound, checked, longest):
+        assert relation_lift_compatibility(bound).to_dict() == {
+            "bound": bound,
+            "checked_pairs": checked,
+            "violations": [],
+            "notes": {"max_lift_chain_length": longest},
+        }
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: a normal form that is wrong on two triples must show up in
+# every verifier, pair by pair.  The verifiers read `canonical` through the
+# atlas module's binding.  The expected reports were recorded before the
+# relation-lift verifier moved to plain integers.
+
+WRONG = {(S3, 1, 1, 0), (RP3, -1, -1, 0)}
+
+
+def wrong_canonical(space, p, q, n, moves=None):
+    """`canonical`, except that the triples in WRONG are left unreduced."""
+    if (space, p, q, n) in WRONG:
+        return p, q, n
+    return canonical(space, p, q, n, moves)
+
+
+def report(checked, violations, space=RP3, notes=None):
+    """The expected to_dict() of a report at bound 1."""
+    out = {
+        "bound": 1,
+        "checked_pairs": checked,
+        "violations": [
+            {"a": {"space": space.value, "p": a[0], "q": a[1], "n": a[2]},
+             "b": {"space": space.value, "p": b[0], "q": b[1], "n": b[2]},
+             "evidence": evidence}
+            for a, b, evidence in violations],
+    }
+    if notes is not None:
+        out["notes"] = notes
+    return out
+
+
+SPLIT = "union-find-equivalent but distinct normal forms"
+
+
+class TestViolationsAreReported:
+    @pytest.fixture(autouse=True)
+    def inject(self, monkeypatch):
+        monkeypatch.setattr(atlas_module, "canonical", wrong_canonical)
+
+    def test_confluence_audit_s3(self):
+        others = [(-1, -1, 0), (-1, 0, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 1),
+                  (0, 1, 0), (1, -1, 0), (1, 0, 0)]
+        assert confluence_audit(S3, 1).to_dict() == report(
+            351, [(a, (1, 1, 0), SPLIT) for a in others], S3)
+
+    def test_confluence_audit_rp3(self):
+        others = [(-1, 0, 0), (-1, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, 0), (1, 1, 0)]
+        assert confluence_audit(RP3, 1).to_dict() == report(
+            351, [((-1, -1, 0), b, SPLIT) for b in others])
+
+    def test_lift_injectivity(self):
+        assert verify_lift_injectivity(1).to_dict() == report(351, [
+            ((-1, -1, 0), (-1, 0, 0),
+             "isotopic lifts (S^3 class T[s3](0,0;1)) but distinct RP^3 classes"),
+            ((-1, 0, 0), (1, 1, 0), "isotopic in RP^3 but lifts in distinct S^3 classes"),
+        ])
+
+    def test_relation_lift_compatibility(self):
+        bad = "instance whose lifts are not S^3-isotopic"
+        assert relation_lift_compatibility(1).to_dict() == report(57, [
+            ((-1, -1, 0), (1, 1, 0), f"R1 fwd {bad}"),
+            ((1, 1, 0), (-1, -1, 0), f"R1 fwd {bad}"),
+            ((1, 1, 0), (0, 0, 1), f"R3 fwd {bad}"),
+        ], notes={"max_lift_chain_length": 7})

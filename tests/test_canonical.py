@@ -146,6 +146,9 @@ STDOUT_DIGESTS = {
     "atlas rp3 0": "01460a08cb1b31f7005a50875bc45ba20a7bfd910646d34ed26e3c04ba65b2dc",
     "atlas rp3 5": "ddc1cf92eb60ecfb55f57ae7e5633fec0eff182b68803fa0bca5d1896e0567b5",
     "atlas rp3 20": "71ec068344941962faee9b9a7b47f98d5051b724e32998f1b5011a7517629ef6",
+    # the benchmark's atlas commands (perfbench/run.py)
+    "atlas s3 25": "3bd6bb372f9906fe4c26f67c354d0165ff1e76399cbe18780349ae6402d9462e",
+    "atlas rp3 25": "39122371cd26dff4c31d00bbd53981685995e636d8969b9acf6aa6077dbd4599",
     # stdout of every TRIPLES query, concatenated in order
     "canon s3": "2386e512e655c7cde6bf75e52189e31803839e37638818d805905373a2781615",
     "canon rp3": "adf99aa0a0fdadb0c4fa469eb559a9267560230665f067e0dbd220c9065937a5",
@@ -163,7 +166,7 @@ def _stdout(*argv) -> bytes:
 
 
 @pytest.mark.parametrize("space", ["s3", "rp3"])
-@pytest.mark.parametrize("bound", [0, 5, 20])
+@pytest.mark.parametrize("bound", [0, 5, 20, 25])
 def test_atlas_stdout_is_unchanged(space, bound):
     got = hashlib.sha256(_stdout("atlas", "--space", space, "--bound", bound))
     assert got.hexdigest() == STDOUT_DIGESTS[f"atlas {space} {bound}"]
