@@ -1,17 +1,20 @@
 """Bounded-universe enumeration of isotopy classes and mechanical checks.
 
 The universe at bound B is every triple with |p|, |q| <= B and n in
-{0, 1, 2}.  Classes are keyed by normal form; an independent union-find
-closure over a three-times-larger universe cross-checks the greedy
-normal-form strategy, and two further verifiers exercise the double-cover
-lift: relation-by-relation compatibility and injectivity on classes.
+{0, 1, 2}.  Classes are keyed by normal form and stored in normal-form
+order; an independent union-find closure over a three-times-larger universe
+cross-checks the greedy normal-form strategy, and two further verifiers
+exercise the double-cover lift: relation-by-relation compatibility and
+injectivity on classes.  Every scan runs on plain (p, q, n) triples in
+lexicographic order; `TorusLink`s are built only for atlas members and for
+the violations a verifier reports.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 from .links import (
     AmbientSpace,
@@ -26,18 +29,15 @@ from .links import (
 )
 
 
-def _key(link: TorusLink) -> tuple[int, int, int]:
-    return canonical(link.space, link.p, link.q, link.n)
-
-
 @dataclass(frozen=True)
 class Atlas:
     space: AmbientSpace
     bound: int
-    classes: dict[TorusLink, tuple[TorusLink, ...]]
+    classes: dict[TorusLink, tuple[TorusLink, ...]]  # in normal-form order
 
     def class_of(self, link: TorusLink) -> tuple[TorusLink, ...]:
-        return self.classes[TorusLink(link.space, *_key(link))]
+        space = link.space
+        return self.classes[TorusLink(space, *canonical(space, link.p, link.q, link.n))]
 
     def to_dict(self) -> dict:
         return {
@@ -48,8 +48,7 @@ class Atlas:
                     "normal_form": link_to_dict(key),
                     "members": [link_to_dict(m) for m in members],
                 }
-                for key, members in sorted(
-                    self.classes.items(), key=lambda kv: kv[0].sort_key())
+                for key, members in self.classes.items()
             ],
         }
 
@@ -68,8 +67,7 @@ class Atlas:
             + ",\n        ".join([member % (m.n, m.p, m.q) for m in members])
             + '\n      ],\n      "normal_form": '
             + normal_form % (key.n, key.p, key.q) + "\n    }"
-            for key, members in sorted(
-                self.classes.items(), key=lambda kv: kv[0].sort_key()))
+            for key, members in self.classes.items())
         return (f'{{\n  "bound": {self.bound},\n  "classes": [\n{classes}\n  ],\n'
                 f'  "space": "{space}"\n}}')
 
@@ -112,12 +110,12 @@ def universe(space: AmbientSpace, bound: int) -> list[TorusLink]:
 
 
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
-    """Partition the bounded universe by normal form."""
+    """Partition the bounded universe by normal form, in normal-form order."""
     buckets: dict[tuple[int, int, int], list[TorusLink]] = {}
-    for link in universe(space, bound):
-        buckets.setdefault(_key(link), []).append(link)
-    # The universe is in (p, q, n) order, so every class comes out sorted.
-    classes = {TorusLink(space, *key): tuple(members) for key, members in buckets.items()}
+    for p, q, n in _triples(bound):
+        buckets.setdefault(canonical(space, p, q, n), []).append(TorusLink(space, p, q, n))
+    # The scan is in (p, q, n) order, so every class comes out sorted.
+    classes = {TorusLink(space, *key): tuple(buckets[key]) for key in sorted(buckets)}
     return Atlas(space, bound, classes)
 
 
@@ -175,12 +173,33 @@ def closure_partition(space: AmbientSpace, bound: int) -> dict[TorusLink, TorusL
     return {link: links[root] for link, root in zip(links, _closure_roots(space, bound))}
 
 
-def _pairs_across(groups: list[list[TorusLink]]) -> list[tuple[TorusLink, TorusLink]]:
-    out = []
-    for i, ga in enumerate(groups):
-        for gb in groups[i + 1:]:
-            out.extend((a, b) for a in ga for b in gb)
-    return out
+def _split_pairs(groups: dict):
+    """(key, a, b) for every pair across two subgroups of a group.
+
+    `groups` maps each key to its subgroups, a dict of lists.  Groups come
+    in key order, subgroups in first-seen order, and a group with one
+    subgroup yields nothing.
+    """
+    for key in sorted(groups):
+        subgroups = list(groups[key].values())
+        for i, ga in enumerate(subgroups):
+            for gb in subgroups[i + 1:]:
+                for a in ga:
+                    for b in gb:
+                        yield key, a, b
+
+
+def _violation(space: AmbientSpace, a: tuple, b: tuple, evidence: str) -> dict:
+    return {"a": link_to_dict(TorusLink(space, *a)),
+            "b": link_to_dict(TorusLink(space, *b)),
+            "evidence": evidence}
+
+
+def _all_pairs_report(bound: int, violations: list[dict], t0: float) -> VerificationReport:
+    """A report that counts every pair of the bounded universe as checked."""
+    n = 3 * (2 * bound + 1) ** 2
+    return VerificationReport(bound, n * (n - 1) // 2, tuple(violations),
+                              time.perf_counter() - t0)
 
 
 def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
@@ -191,44 +210,25 @@ def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
     partitions disagree, in either direction.
     """
     t0 = time.perf_counter()
-    inner = universe(space, bound)
+    inner = _triples(bound)  # rejects a negative bound before the closure runs
     outer = 3 * bound
     roots = _closure_roots(space, outer)
-    violations: list[dict] = []
-
-    by_root: dict[int, dict[tuple, list[TorusLink]]] = {}
-    by_nf: dict[tuple, dict[int, list[TorusLink]]] = {}
-    for link in inner:
-        root = roots[_index(outer, link.p, link.q, link.n)]
-        key = _key(link)
-        by_root.setdefault(root, {}).setdefault(key, []).append(link)
-        by_nf.setdefault(key, {}).setdefault(root, []).append(link)
+    by_root: dict[int, dict[tuple, list]] = {}
+    by_nf: dict[tuple, dict[int, list]] = {}
+    for t in inner:
+        root = roots[_index(outer, *t)]
+        key = canonical(space, *t)
+        by_root.setdefault(root, {}).setdefault(key, []).append(t)
+        by_nf.setdefault(key, {}).setdefault(root, []).append(t)
 
     # Roots (positions) and keys (triples) both sort in (p, q, n) order.
-    for root, split in sorted(by_root.items()):
-        if len(split) > 1:
-            for a, b in _pairs_across(list(split.values())):
-                violations.append({
-                    "a": link_to_dict(a),
-                    "b": link_to_dict(b),
-                    "evidence": "union-find-equivalent but distinct normal forms",
-                })
-    for key, split in sorted(by_nf.items()):
-        if len(split) > 1:
-            for a, b in _pairs_across(list(split.values())):
-                violations.append({
-                    "a": link_to_dict(a),
-                    "b": link_to_dict(b),
-                    "evidence": "equal normal forms but not union-find-equivalent",
-                })
-
-    n = len(inner)
-    return VerificationReport(
-        bound=bound,
-        checked_pairs=n * (n - 1) // 2,
-        violations=tuple(violations),
-        elapsed=time.perf_counter() - t0,
-    )
+    violations = [
+        _violation(space, a, b, "union-find-equivalent but distinct normal forms")
+        for _, a, b in _split_pairs(by_root)]
+    violations += [
+        _violation(space, a, b, "equal normal forms but not union-find-equivalent")
+        for _, a, b in _split_pairs(by_nf)]
+    return _all_pairs_report(bound, violations, t0)
 
 
 def verify_lift_injectivity(bound: int) -> VerificationReport:
@@ -237,47 +237,28 @@ def verify_lift_injectivity(bound: int) -> VerificationReport:
     Groups the bounded RP^3 universe by the normal form of the lift and
     reports any group containing two distinct RP^3 classes.  The converse
     direction (isotopic links have isotopic lifts) is checked alongside:
-    the lift normal form must be constant on every RP^3 class.
+    the lift normal form must be constant on every RP^3 class.  Each class
+    is represented by its first triple scanned, so by its least.
     """
     t0 = time.perf_counter()
-    links = universe(AmbientSpace.RP3, bound)
-    by_lift: dict[tuple, dict[tuple, TorusLink]] = {}
-    by_base: dict[tuple, dict[tuple, TorusLink]] = {}
-    for link in links:
-        base_key = _key(link)
-        lift_key = canonical(AmbientSpace.SPHERE3, *_lift(link.p, link.q), link.n)
-        by_lift.setdefault(lift_key, {}).setdefault(base_key, link)
-        by_base.setdefault(base_key, {}).setdefault(lift_key, link)
+    rp3, s3 = AmbientSpace.RP3, AmbientSpace.SPHERE3
+    by_lift: dict[tuple, dict[tuple, list]] = {}
+    by_base: dict[tuple, dict[tuple, list]] = {}
+    for p, q, n in _triples(bound):
+        base_key = canonical(rp3, p, q, n)
+        lift_key = canonical(s3, *_lift(p, q), n)
+        rep = [(p, q, n)]
+        by_lift.setdefault(lift_key, {}).setdefault(base_key, rep)
+        by_base.setdefault(base_key, {}).setdefault(lift_key, rep)
 
-    violations: list[dict] = []
-    for lift_key, bases in sorted(by_lift.items()):
-        if len(bases) > 1:
-            lift_nf = TorusLink(AmbientSpace.SPHERE3, *lift_key)
-            reps = sorted(bases.values(), key=lambda t: t.sort_key())
-            for a, b in combinations(reps, 2):
-                violations.append({
-                    "a": link_to_dict(a),
-                    "b": link_to_dict(b),
-                    "evidence": "isotopic lifts "
-                                f"(S^3 class {lift_nf!r}) but distinct RP^3 classes",
-                })
-    for base_key, lifts in sorted(by_base.items()):
-        if len(lifts) > 1:
-            reps = sorted(lifts.values(), key=lambda t: t.sort_key())
-            for a, b in combinations(reps, 2):
-                violations.append({
-                    "a": link_to_dict(a),
-                    "b": link_to_dict(b),
-                    "evidence": "isotopic in RP^3 but lifts in distinct S^3 classes",
-                })
-
-    n = len(links)
-    return VerificationReport(
-        bound=bound,
-        checked_pairs=n * (n - 1) // 2,
-        violations=tuple(violations),
-        elapsed=time.perf_counter() - t0,
-    )
+    violations = [
+        _violation(rp3, a, b, f"isotopic lifts (S^3 class {TorusLink(s3, *key)!r}) "
+                              "but distinct RP^3 classes")
+        for key, a, b in _split_pairs(by_lift)]
+    violations += [
+        _violation(rp3, a, b, "isotopic in RP^3 but lifts in distinct S^3 classes")
+        for _, a, b in _split_pairs(by_base)]
+    return _all_pairs_report(bound, violations, t0)
 
 
 def relation_lift_compatibility(bound: int) -> VerificationReport:
@@ -303,12 +284,9 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
             checked += 1
             moves_b: list = []
             if canonical(s3, *_lift(image[0], image[1]), image[2], moves_b) != key_a:
-                violations.append({
-                    "a": link_to_dict(TorusLink(rp3, p, q, n)),
-                    "b": link_to_dict(TorusLink(rp3, *image)),
-                    "evidence": f"{relation.value} {direction.value} instance "
-                                "whose lifts are not S^3-isotopic",
-                })
+                violations.append(_violation(rp3, (p, q, n), image,
+                                             f"{relation.value} {direction.value} instance "
+                                             "whose lifts are not S^3-isotopic"))
             else:
                 # isotopic's chain runs a -> normal form -> b.
                 max_chain = max(max_chain, len(moves_a) + len(moves_b))

@@ -145,16 +145,8 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
         else:
             vertex_map[ids[0]] = ids[0]
 
-    edges: list[TreeEdge] = []
-    for (a, b), (la, lb) in labels.items():
-        ca, cb = copies(a), copies(b)
-        if len(ca) == 1 and len(cb) == 1:
-            edges.append(TreeEdge(ca[0], cb[0], la, lb))
-        elif len(ca) == 1:
-            edges.append(TreeEdge(ca[0], cb[0], la, lb))
-            edges.append(TreeEdge(ca[0], cb[1], la, lb))
-        else:
-            edges.append(TreeEdge(ca[0], cb[0], la, lb))
-            edges.append(TreeEdge(ca[1], cb[1], la, lb))
-
+    # A moved piece has only moved children: a fixed parent joins every copy
+    # of its child, and copy i of a moved parent joins copy i of its child.
+    edges = [TreeEdge(u, v, la, lb) for (a, b), (la, lb) in labels.items()
+             for u, v in zip(copies(a) * 2, copies(b))]
     return CoverSpec(JsjTree(vertices, tuple(edges)), vertex_map)

@@ -234,16 +234,17 @@ def validate_tree(raw: dict) -> JsjTree:
 
 
 def tree_to_dict(tree: JsjTree) -> dict:
+    # `_value_`, a plain attribute: `value` is a Python-level property on 3.11.
     return {
         "vertices": [
-            {"id": vid, "geometry": geom.value}
+            {"id": vid, "geometry": geom._value_}
             for vid, geom in sorted(tree.vertices.items())
         ],
         "edges": [
             {
                 "u": e.u, "v": e.v,
-                "label_beyond_u": e.label_beyond_u.value,
-                "label_beyond_v": e.label_beyond_v.value,
+                "label_beyond_u": e.label_beyond_u._value_,
+                "label_beyond_v": e.label_beyond_v._value_,
             }
             for e in tree.edges
         ],

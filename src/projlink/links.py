@@ -68,7 +68,7 @@ class InvalidN(CalculusError):
 
 
 class InvalidInput(InvalidN):
-    """A coefficient or n that is not an integer, or a malformed wire triple.
+    """A coefficient or n that is not an integer, or a malformed wire triple or chain.
 
     It derives from InvalidN, which callers caught for any bad triple before
     this class existed, so those handlers still see it.
@@ -101,9 +101,6 @@ class TorusLink:
     p: int
     q: int
     n: int
-
-    def sort_key(self):
-        return (self.p, self.q, self.n)
 
     def __repr__(self):
         return f"T[{self.space.value}]({self.p},{self.q};{self.n})"
@@ -458,12 +455,11 @@ def step_to_dict(step: RelationStep) -> dict:
 
 
 def step_from_dict(data: dict) -> RelationStep:
-    return RelationStep(
-        Relation(data["relation"]),
-        Direction(data["direction"]),
-        link_from_dict(data["before"]),
-        link_from_dict(data["after"]),
-    )
+    try:
+        return RelationStep(Relation(data["relation"]), Direction(data["direction"]),
+                            link_from_dict(data["before"]), link_from_dict(data["after"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InvalidInput(f"malformed witness step {data!r}") from exc
 
 
 def chain_to_list(chain: WitnessChain) -> list[dict]:
@@ -471,4 +467,7 @@ def chain_to_list(chain: WitnessChain) -> list[dict]:
 
 
 def chain_from_list(data: list[dict]) -> WitnessChain:
-    return WitnessChain(tuple(step_from_dict(d) for d in data))
+    try:
+        return WitnessChain(tuple(step_from_dict(d) for d in data))
+    except TypeError as exc:  # not iterable; a bad step raises InvalidInput
+        raise InvalidInput(f"malformed witness chain {data!r}") from exc

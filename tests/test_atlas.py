@@ -1,6 +1,8 @@
 """Atlas enumeration, the union-find cross-check, and the lift verifiers."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -60,7 +62,7 @@ class TestEnumerateClasses:
         atlas = enumerate_classes(RP3, 2)
         for key, members in atlas.classes.items():
             assert all(normal_form(m)[0] == key for m in members)
-            assert list(members) == sorted(members, key=lambda t: t.sort_key())
+            assert list(members) == sorted(members, key=lambda t: (t.p, t.q, t.n))
 
     def test_every_triple_in_exactly_one_class(self):
         atlas = enumerate_classes(S3, 3)
@@ -116,6 +118,11 @@ class TestConfluenceAudit:
         assert report.checked_pairs == 3
         assert report.violations == ()
 
+    def test_negative_bound_rejected_before_the_closure(self):
+        # The closure at 3 * bound would hold about 10^14 positions.
+        with pytest.raises(ValueError):
+            confluence_audit(S3, -10**6)
+
     def test_report_is_deterministic(self):
         a = confluence_audit(RP3, 4).to_dict()
         b = confluence_audit(RP3, 4).to_dict()
@@ -132,6 +139,10 @@ class TestLiftInjectivity:
         # only the three triples (0, 0; n) at bound zero
         assert report.checked_pairs == 3 * 2 // 2
         assert report.violations == ()
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            verify_lift_injectivity(-1)
 
     def test_first_exceptional_case(self):
         a, b = make_link(RP3, 3, 3, 0), make_link(RP3, 2, 2, 1)
@@ -238,3 +249,52 @@ class TestViolationsAreReported:
             ((1, 1, 0), (-1, -1, 0), f"R1 fwd {bad}"),
             ((1, 1, 0), (0, 0, 1), f"R3 fwd {bad}"),
         ], notes={"max_lift_chain_length": 7})
+
+
+# Twelve seeded wrong normal forms, six per space: a triple drawn from
+# |p|, |q| <= 3 is given the normal form of another drawn triple.  That splits
+# its own class and joins a foreign one, so at bounds 0-6 both directions of
+# every cross-check report many groups at once, and the digests pin the order
+# of the groups, of the subgroups within a group and of the pairs across
+# them.  Recorded before the verifiers moved to plain triples and one pair
+# enumerator.
+def _seeded_wrong(seed=22282, per_space=6, bound=3):
+    rng = random.Random(seed)
+    span = range(-bound, bound + 1)
+    triples = [(p, q, n) for p in span for q in span for n in (0, 1, 2)]
+    return {(space, *a): canonical(space, *rng.choice(triples))
+            for space in (S3, RP3) for a in rng.sample(triples, per_space)}
+
+
+SEEDED_WRONG = _seeded_wrong()
+
+SEEDED_DIGESTS = {
+    0: "abb9bf5a619945e3b42ad5ccccaa1561794a125f2d5aaca5f32d01bf78185536",
+    1: "1382f04ad126d487da778bd4605a43810909e01a8f0f02fef6664b3540d2a7df",
+    2: "72ba47feb49c7c53ce4f6b582daadf98dbffe9b99ae45239454be6e523f54959",
+    3: "761c72c336162a0c009aa9c462e419239d127f82d90200d835904be3253687fa",
+    4: "dbf574eed5a97231adab95d9baf409d5f1e9774748e79af6a121778457467c70",
+    5: "8eb632e57efff90a15b1ad012776534991688f619d886d71cc61608ba1304ec0",
+    6: "d4c7658f49263010353a8fa22468e946028a56ec00153f79370d82a055683e2e",
+}
+
+
+def seeded_wrong_canonical(space, p, q, n, moves=None):
+    """`canonical`, except on the triples of SEEDED_WRONG."""
+    wrong = SEEDED_WRONG.get((space, p, q, n))
+    return canonical(space, p, q, n, moves) if wrong is None else wrong
+
+
+@pytest.mark.parametrize("bound", sorted(SEEDED_DIGESTS))
+def test_seeded_fault_reports_are_unchanged(monkeypatch, bound):
+    monkeypatch.setattr(atlas_module, "canonical", seeded_wrong_canonical)
+    outputs = {
+        "confluence_s3": confluence_audit(S3, bound).to_dict(),
+        "confluence_rp3": confluence_audit(RP3, bound).to_dict(),
+        "lift_injectivity": verify_lift_injectivity(bound).to_dict(),
+        "relation_lift": relation_lift_compatibility(bound).to_dict(),
+        "atlas_s3": enumerate_classes(S3, bound).to_json(),
+        "atlas_rp3": enumerate_classes(RP3, bound).to_json(),
+    }
+    text = json.dumps(outputs, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[bound]

@@ -315,6 +315,12 @@ class TestSerialization:
         assert chain_from_list(chain_to_list(chain)) == chain
 
 
+# A well-formed witness step, R1 on T(1, 2; 0) in S^3.
+STEP = {"relation": "R1", "direction": "fwd",
+        "before": {"space": "s3", "p": 1, "q": 2, "n": 0},
+        "after": {"space": "s3", "p": -1, "q": -2, "n": 0}}
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("args", [(1.5, 1, 0), (1, "1", 0), (1, 1, True), (1, 1, 0.0)])
     def test_non_integer_is_invalid_input(self, args):
@@ -335,3 +341,13 @@ class TestInvalidInput:
     def test_malformed_wire_triple(self, data):
         with pytest.raises(InvalidInput):
             link_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        [{**STEP, "relation": "R9"}], [{**STEP, "direction": "up"}], [{}],
+        [{k: v for k, v in STEP.items() if k != "after"}], [{**STEP, "before": {"space": "s3"}}],
+        ["x"], [5], [None], [[]], 5, None,
+    ])
+    def test_malformed_witness_chain(self, data):
+        with pytest.raises(InvalidInput) as exc:
+            chain_from_list(data)
+        assert exc.value.code == "INVALID_INPUT"
