@@ -7,13 +7,14 @@ cross-checks the greedy normal-form strategy, and two further verifiers
 exercise the double-cover lift: relation-by-relation compatibility and
 injectivity on classes.  Every scan runs on plain (p, q, n) triples in
 lexicographic order; `TorusLink`s are built only for atlas members and for
-the violations a verifier reports.
+the violations a verifier reports.  `Atlas` and `VerificationReport` are
+named tuples; a report built without `notes` has None there.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import product
 
 from .links import (
@@ -29,11 +30,8 @@ from .links import (
 )
 
 
-@dataclass(frozen=True)
-class Atlas:
-    space: AmbientSpace
-    bound: int
-    classes: dict[TorusLink, tuple[TorusLink, ...]]  # in normal-form order
+class Atlas(namedtuple("Atlas", "space bound classes")):
+    __slots__ = ()  # classes: normal form -> members, in normal-form order
 
     def class_of(self, link: TorusLink) -> tuple[TorusLink, ...]:
         space = link.space
@@ -72,13 +70,10 @@ class Atlas:
                 f'  "space": "{space}"\n}}')
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    bound: int
-    checked_pairs: int
-    violations: tuple[dict, ...]
-    elapsed: float
-    notes: dict = field(default_factory=dict)
+class VerificationReport(namedtuple(
+        "VerificationReport", "bound checked_pairs violations elapsed notes",
+        defaults=(None,))):
+    __slots__ = ()  # violations: a tuple of dicts; notes: None or a dict
 
     @property
     def ok(self) -> bool:

@@ -25,12 +25,13 @@ per tree, there.  `outermost` is the label criterion read off each edge's
 labels; that it equals the local minima of the potential and is never
 empty on a valid tree is checked by the tests, not at run time.
 `lemma44_check` counts the cover's far-side labels in one pass over its
-edges, and checks the quotient on its typed edges.
+edges, and checks the quotient on its typed edges.  The four records are
+named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 
@@ -53,12 +54,9 @@ _GEOMETRIES = {**{geom.value: geom for geom in Geometry},
                **{geom: geom for geom in Geometry}}
 
 
-@dataclass(frozen=True)
-class TreeEdge:
-    u: str
-    v: str
-    label_beyond_u: RegionLabel  # region on the far side from u (contains v)
-    label_beyond_v: RegionLabel  # region on the far side from v (contains u)
+class TreeEdge(namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")):
+    # label_beyond_x: the region on the far side of the torus from x.
+    __slots__ = ()
 
     def endpoints(self) -> frozenset[str]:
         return frozenset({self.u, self.v})
@@ -74,10 +72,8 @@ class TreeEdge:
         return self.v if vertex == self.u else self.u
 
 
-@dataclass(frozen=True)
-class JsjTree:
-    vertices: dict[str, Geometry]
-    edges: tuple[TreeEdge, ...]
+class JsjTree(namedtuple("JsjTree", "vertices edges")):
+    __slots__ = ()  # vertices: id -> Geometry; edges: a tuple of TreeEdges
 
     def adjacency(self) -> dict[str, list[TreeEdge]]:
         adj: dict[str, list[TreeEdge]] = {v: [] for v in self.vertices}
@@ -87,19 +83,15 @@ class JsjTree:
         return adj
 
 
-@dataclass(frozen=True)
-class CoverSpec:
-    cover: JsjTree
-    vertex_map: dict[str, str]  # the involution on vertex ids
+class CoverSpec(namedtuple("CoverSpec", "cover vertex_map")):
+    __slots__ = ()  # vertex_map: the involution on vertex ids
 
 
-@dataclass(frozen=True)
-class CoverCheckEntry:
-    vertex: str                 # quotient vertex id
-    orbit: tuple[str, ...]      # its cover preimage (one or two vertices)
-    outermost: bool             # label criterion in the quotient
-    criterion: bool             # connected preimage + even non-solid-torus count
-    agree: bool
+class CoverCheckEntry(namedtuple("CoverCheckEntry",
+                                 "vertex orbit outermost criterion agree")):
+    # outermost: the label criterion in the quotient; criterion: a connected
+    # preimage (orbit) and an even non-solid-torus count upstairs.
+    __slots__ = ()
 
 
 class TreeValidationError(Exception):

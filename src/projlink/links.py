@@ -28,11 +28,14 @@ constant.  `normal_form` replays the moves `canonical` applied into a
 witness chain, so every positive verdict carries a replayable certificate;
 callers that only compare classes, such as the atlas and its verifiers,
 use `canonical` and build no chains.
+
+The records are named tuples, each equal to the plain tuple of its fields,
+except `WitnessChain`: an immutable class whose length is its step count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -89,38 +92,50 @@ class WrongSpace(CalculusError):
     code = "WRONG_SPACE"
 
 
-@dataclass(frozen=True)
-class TorusLink:
+class TorusLink(namedtuple("TorusLink", "space p q n")):
     """A triple (p, q; n) tagged with its ambient space.
 
     Any integer pair (p, q) is allowed; n counts how many handlebody cores
     are added and must be 0, 1 or 2.  (0, 0; 0) denotes the empty link.
     """
 
-    space: AmbientSpace
-    p: int
-    q: int
-    n: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"T[{self.space.value}]({self.p},{self.q};{self.n})"
 
 
-@dataclass(frozen=True)
-class RelationStep:
+class RelationStep(namedtuple("RelationStep", "relation direction before after")):
     """One application of a relation, with its endpoints."""
 
-    relation: Relation
-    direction: Direction
-    before: TorusLink
-    after: TorusLink
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class WitnessChain:
     """A composable sequence of relation steps certifying an isotopy."""
 
-    steps: tuple[RelationStep, ...] = ()
+    __slots__ = __match_args__ = ("steps",)
+
+    def __init__(self, steps: tuple[RelationStep, ...] = ()):
+        object.__setattr__(self, "steps", steps)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"WitnessChain is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    # __setattr__ refuses, so pickle and copy rebuild through the constructor.
+    def __reduce__(self):
+        return WitnessChain, (self.steps,)
+
+    def __eq__(self, other):
+        return self.steps == other.steps if type(other) is WitnessChain else NotImplemented
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __repr__(self):
+        return f"WitnessChain(steps={self.steps!r})"
 
     def __len__(self):
         return len(self.steps)
@@ -132,10 +147,8 @@ class ClassificationKind(Enum):
     NON_SEIFERT_SPLIT = "NON_SEIFERT_SPLIT"
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: ClassificationKind
-    detail: str
+class Classification(namedtuple("Classification", "kind detail")):
+    __slots__ = ()
 
 
 def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
