@@ -21,6 +21,8 @@ from .links import (
     AmbientSpace,
     TorusLink,
     _MOVES,
+    _RP3,
+    _SPHERE3,
     _lift,
     _move,
     _reduce,
@@ -236,7 +238,7 @@ def verify_lift_injectivity(bound: int) -> VerificationReport:
     is represented by its first triple scanned, so by its least.
     """
     t0 = time.perf_counter()
-    rp3, s3 = AmbientSpace.RP3, AmbientSpace.SPHERE3
+    rp3, s3 = _RP3, _SPHERE3
     by_lift: dict[tuple, dict[tuple, list]] = {}
     by_base: dict[tuple, dict[tuple, list]] = {}
     for p, q, n in _triples(bound):
@@ -265,7 +267,7 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
     integers; the lift of each triple is reduced once, for all its moves.
     """
     t0 = time.perf_counter()
-    rp3, s3 = AmbientSpace.RP3, AmbientSpace.SPHERE3
+    rp3, s3 = _RP3, _SPHERE3
     violations: list[dict] = []
     checked = 0
     max_chain = 0

@@ -8,11 +8,17 @@ with all tori "facing away" from the root), then the regions that lift to
 two copies are doubled and the rest is kept fixed.  This keeps every
 generated cover consistent with the parity criterion, which is what the
 property suite relies on.
+
+Every uniform draw from range(n), and so every pick from a sequence of
+length n, goes through `_draws`: it asks `rng.getrandbits` for
+k = n.bit_length() bits and draws again while the result is n or more.
+That is how `Random.randrange(n)` and `Random.choice` consume the stream on
+CPython 3.10 to 3.13, so a seed yields the same trees and covers as those
+calls would, without their two Python-level frames per draw.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 
 from .jsj import (
@@ -21,11 +27,12 @@ from .jsj import (
     JsjTree,
     RegionLabel,
     TreeEdge,
+    _KHB,
+    _OTHER,
+    _ST,
+    _tuple_new,
 )
 
-_ST = RegionLabel.SOLID_TORUS
-_KHB = RegionLabel.KNOTTED_HOLE_BALL
-_OTHER = RegionLabel.OTHER
 _GEOMETRIES = (Geometry.HYPERBOLIC, Geometry.SEIFERT)
 _MOVED_FAR = (_ST, _KHB)  # far labels inside a doubled subtree
 _FIXED_BACK = (_ST, _OTHER)  # back labels of a fixed piece
@@ -40,43 +47,59 @@ _EDGE_LABELINGS = (
 )
 
 
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """`count` draws from range(n), as `count` calls of rng.randrange(n)."""
+    if n <= 0 < count:
+        raise ValueError(f"empty range for a draw: n = {n}")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def _pruefer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on vertices 0..n-1 via Pruefer decoding."""
     if n <= 1:
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    seq = _draws(rng, n, n - 2)
     degree = [1] * n
     for x in seq:
         degree[x] += 1
+    # Each step joins the least leaf to the next entry of seq.  Every leaf
+    # below `low` has been used, so a new leaf below it is the least one;
+    # n - 1 is never a used leaf, so it ends the last edge.
     edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    leaf = low = degree.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+        if degree[x] == 1 and x < low:
+            leaf = x
+        else:
+            leaf = low = degree.index(1, low + 1)
+    edges.append((leaf, n - 1))
     return edges
 
 
-def _vid(i: int) -> str:
-    return f"v{i}"
+def _vids(n: int) -> list[str]:
+    return [f"v{i}" for i in range(n)]
 
 
 def random_jsj_tree(rng: random.Random, n_vertices: int) -> JsjTree:
     """Random valid tree: Pruefer shape, uniform labels on each edge."""
-    vertices = {
-        _vid(i): rng.choice(_GEOMETRIES) for i in range(n_vertices)
-    }
-    edges = []
-    for u, v in _pruefer_edges(rng, n_vertices):
-        lu, lv = rng.choice(_EDGE_LABELINGS)
-        edges.append(TreeEdge(_vid(u), _vid(v), lu, lv))
-    return JsjTree(vertices, tuple(edges))
+    ids = _vids(n_vertices)
+    geometries = [_GEOMETRIES[g] for g in _draws(rng, len(_GEOMETRIES), n_vertices)]
+    pairs = _pruefer_edges(rng, n_vertices)
+    edges = tuple(_tuple_new(TreeEdge, (ids[u], ids[v]) + _EDGE_LABELINGS[c])
+                  for (u, v), c in zip(pairs, _draws(rng, len(_EDGE_LABELINGS), len(pairs))))
+    return JsjTree(dict(zip(ids, geometries)), edges)
 
 
 def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
@@ -96,10 +119,8 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
         adj[u].append(v)
         adj[v].append(u)
 
-    root = rng.randrange(n)
-    geometry = {
-        i: rng.choice(_GEOMETRIES) for i in range(n)
-    }
+    root = _draws(rng, n, 1)[0]
+    geometry = [_GEOMETRIES[g] for g in _draws(rng, len(_GEOMETRIES), n)]
 
     moved: dict[int, bool] = {root: False}
     labels: dict[tuple[int, int], tuple[RegionLabel, RegionLabel]] = {}
@@ -117,7 +138,7 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
             if moved[a]:
                 # Whole subtree lies in a doubled region.
                 moved[b] = True
-                far = rng.choice(_MOVED_FAR)
+                far = _MOVED_FAR[_draws(rng, len(_MOVED_FAR), 1)[0]]
                 labels[(a, b)] = (far, _OTHER)
             else:
                 far = _KHB if rng.random() < 0.35 else _ST
@@ -129,17 +150,16 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
                     labels[(a, b)] = (far, _OTHER)
                 else:
                     moved[b] = False
-                    labels[(a, b)] = (far, rng.choice(_FIXED_BACK))
+                    labels[(a, b)] = (far, _FIXED_BACK[_draws(rng, len(_FIXED_BACK), 1)[0]])
 
-    def copies(v: int) -> list[str]:
-        return [f"{_vid(v)}.a", f"{_vid(v)}.b"] if moved[v] else [_vid(v)]
-
+    # The ids of each base vertex's copies, built once.
+    copies = [[f"{vid}.a", f"{vid}.b"] if moved[v] else [vid]
+              for v, vid in enumerate(_vids(n))]
     vertices: dict[str, Geometry] = {}
     vertex_map: dict[str, str] = {}
-    for v in range(n):
-        ids = copies(v)
+    for ids, geom in zip(copies, geometry):
         for cid in ids:
-            vertices[cid] = geometry[v]
+            vertices[cid] = geom
         if len(ids) == 2:
             vertex_map[ids[0]], vertex_map[ids[1]] = ids[1], ids[0]
         else:
@@ -147,6 +167,6 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
 
     # A moved piece has only moved children: a fixed parent joins every copy
     # of its child, and copy i of a moved parent joins copy i of its child.
-    edges = [TreeEdge(u, v, la, lb) for (a, b), (la, lb) in labels.items()
-             for u, v in zip(copies(a) * 2, copies(b))]
+    edges = [_tuple_new(TreeEdge, (u, v) + pair) for (a, b), pair in labels.items()
+             for u, v in zip(copies[a] * 2, copies[b])]
     return CoverSpec(JsjTree(vertices, tuple(edges)), vertex_map)

@@ -46,6 +46,10 @@ class Geometry(Enum):
     SEIFERT = "seifert"
 
 
+# The members, bound once: on 3.11 reading one through its class costs more
+# than ten times a module-level name, and the loops below read them per edge.
+_ST, _KHB, _OTHER = RegionLabel.SOLID_TORUS, RegionLabel.KNOTTED_HOLE_BALL, RegionLabel.OTHER
+
 # Wire values to members, found as Enum(value) finds them (members stand
 # for themselves) without its per-call cost.
 _LABELS = {**{label.value: label for label in RegionLabel},
@@ -58,9 +62,6 @@ class TreeEdge(namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")):
     # label_beyond_x: the region on the far side of the torus from x.
     __slots__ = ()
 
-    def endpoints(self) -> frozenset[str]:
-        return frozenset({self.u, self.v})
-
     def label_away_from(self, vertex: str) -> RegionLabel:
         if vertex == self.u:
             return self.label_beyond_u
@@ -68,8 +69,11 @@ class TreeEdge(namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")):
             return self.label_beyond_v
         raise KeyError(vertex)
 
-    def other_end(self, vertex: str) -> str:
-        return self.v if vertex == self.u else self.u
+
+# _tuple_new(TreeEdge, (u, v, lu, lv)) is the record TreeEdge(u, v, lu, lv),
+# built as namedtuple's own _make builds it: without the Python-level
+# __new__ frame, which costs about 170 ns per edge on 3.11.
+_tuple_new = tuple.__new__
 
 
 class JsjTree(namedtuple("JsjTree", "vertices edges")):
@@ -78,8 +82,8 @@ class JsjTree(namedtuple("JsjTree", "vertices edges")):
     def adjacency(self) -> dict[str, list[TreeEdge]]:
         adj: dict[str, list[TreeEdge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
+            adj[e[0]].append(e)
+            adj[e[1]].append(e)
         return adj
 
 
@@ -106,8 +110,7 @@ def _allowed_pair(lu: RegionLabel, lv: RegionLabel) -> bool:
     """Whether one torus may carry these labels: exactly one side OTHER
     (solid torus or knotted hole ball against other), or solid tori on
     both sides."""
-    return (lu is RegionLabel.OTHER) is not (lv is RegionLabel.OTHER) or \
-        lu is lv is RegionLabel.SOLID_TORUS
+    return (lu is _OTHER) is not (lv is _OTHER) or lu is lv is _ST
 
 
 def _shape_violations(vertices: dict, pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -203,7 +206,7 @@ def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
             violations.append((
                 "FORBIDDEN_LABEL_PAIR",
                 f"edge {u!r}-{v!r} carries ({lu.value}, {lv.value})"))
-        edges.append(TreeEdge(u, v, lu, lv))
+        edges.append(_tuple_new(TreeEdge, (u, v, lu, lv)))
 
     if not broken or not vertices:
         violations.extend(_shape_violations(vertices, pairs))
@@ -233,12 +236,8 @@ def tree_to_dict(tree: JsjTree) -> dict:
             for vid, geom in sorted(tree.vertices.items())
         ],
         "edges": [
-            {
-                "u": e.u, "v": e.v,
-                "label_beyond_u": e.label_beyond_u._value_,
-                "label_beyond_v": e.label_beyond_v._value_,
-            }
-            for e in tree.edges
+            {"u": u, "v": v, "label_beyond_u": lu._value_, "label_beyond_v": lv._value_}
+            for u, v, lu, lv in tree.edges
         ],
     }
 
@@ -249,12 +248,12 @@ def edge_orientation(edge: TreeEdge) -> tuple[str, str] | None:
     The head endpoint is the one enclosed in the solid torus or knotted
     hole ball on its side of the torus.
     """
-    lu, lv = edge.label_beyond_u, edge.label_beyond_v
-    if lu is RegionLabel.SOLID_TORUS and lv is RegionLabel.SOLID_TORUS:
+    u, v, lu, lv = edge
+    if lu is _ST and lv is _ST:
         return None
-    if lu is not RegionLabel.OTHER:
-        return (edge.u, edge.v)
-    return (edge.v, edge.u)
+    if lu is not _OTHER:
+        return (u, v)
+    return (v, u)
 
 
 def potential(tree: JsjTree) -> dict[str, int]:
@@ -264,27 +263,25 @@ def potential(tree: JsjTree) -> dict[str, int]:
     Heegaard edges; existence and uniqueness follow from connectedness and
     acyclicity.
     """
-    values: dict[str, int] = {}
     adj = tree.adjacency()
+    orientation = edge_orientation
     root = min(tree.vertices)
-    values[root] = 0
+    values = {root: 0}
     stack = [root]
     while stack:
         x = stack.pop()
+        fx = values[x]
         for e in adj[x]:
-            y = e.other_end(x)
+            y = e[1] if e[0] == x else e[0]
             if y in values:
                 continue
-            orient = edge_orientation(e)
-            if orient is None:
-                values[y] = values[x]
-            elif orient == (x, y):
-                values[y] = values[x] + 1
-            else:
-                values[y] = values[x] - 1
+            orient = orientation(e)
+            # y differs from x, so the edge points from x to y exactly when
+            # its tail is x.
+            values[y] = fx if orient is None else fx + 1 if orient[0] == x else fx - 1
             stack.append(y)
     low = min(values.values())
-    return {v: f - low for v, f in values.items()}
+    return {v: f - low for v, f in values.items()} if low else values
 
 
 def outermost(tree: JsjTree) -> set[str]:
@@ -296,11 +293,12 @@ def outermost(tree: JsjTree) -> set[str]:
     label constraints and raises ValueError.
     """
     result = set(tree.vertices)
-    for e in tree.edges:
-        if e.label_beyond_u is RegionLabel.OTHER:
-            result.discard(e.u)
-        if e.label_beyond_v is RegionLabel.OTHER:
-            result.discard(e.v)
+    discard = result.discard
+    for u, v, lu, lv in tree.edges:
+        if lu is _OTHER:
+            discard(u)
+        if lv is _OTHER:
+            discard(v)
     if not result:
         raise ValueError("no outermost vertex: the tree breaks the label constraints")
     return result
@@ -311,44 +309,41 @@ def outermost(tree: JsjTree) -> set[str]:
 
 
 def _involution_violations(spec: CoverSpec) -> list[tuple[str, str]]:
-    tree, sigma = spec.cover, spec.vertex_map
+    (vertices, edges), sigma = spec.cover, spec.vertex_map
     violations: list[tuple[str, str]] = []
-    if set(sigma) != set(tree.vertices) or set(sigma.values()) != set(tree.vertices):
+    if sigma.keys() != vertices.keys() or set(sigma.values()) != vertices.keys():
         return [("INVALID_INVOLUTION", "vertex map is not a permutation")]
     for v, w in sigma.items():
         if sigma[w] != v:
             violations.append(
                 ("INVALID_INVOLUTION", f"map is not an involution at {v!r}"))
-        if tree.vertices[v] is not tree.vertices[w]:
+        if vertices[v] is not vertices[w]:
             violations.append(
                 ("INVALID_INVOLUTION", f"geometry differs on orbit {v!r}/{w!r}"))
     if violations:
         return violations
 
-    by_ends = {e.endpoints(): e for e in tree.edges}
-    for e in tree.edges:
-        image_ends = frozenset({sigma[e.u], sigma[e.v]})
+    by_ends = {frozenset(e[:2]): e for e in edges}
+    for u, v, lu, lv in edges:
+        su, sv = sigma[u], sigma[v]
+        image_ends = frozenset((su, sv))
         image = by_ends.get(image_ends)
         if image is None:
             violations.append(
-                ("INVALID_INVOLUTION",
-                 f"image of edge {e.u!r}-{e.v!r} is not an edge"))
+                ("INVALID_INVOLUTION", f"image of edge {u!r}-{v!r} is not an edge"))
             continue
-        if image.label_away_from(sigma[e.u]) != e.label_beyond_u or \
-                image.label_away_from(sigma[e.v]) != e.label_beyond_v:
+        # The image's labels away from su and sv, both of them its ends.
+        iu, _, ilu, ilv = image
+        if (ilu if su == iu else ilv) != lu or (ilu if sv == iu else ilv) != lv:
             violations.append(
-                ("INVALID_INVOLUTION",
-                 f"labels not preserved on edge {e.u!r}-{e.v!r}"))
-        if image_ends == e.endpoints():
-            if sigma[e.u] == e.v:
+                ("INVALID_INVOLUTION", f"labels not preserved on edge {u!r}-{v!r}"))
+        if image_ends == frozenset((u, v)):
+            if su == v:
                 violations.append(
-                    ("INVALID_INVOLUTION",
-                     f"fixed edge {e.u!r}-{e.v!r} swaps its endpoints"))
-            if RegionLabel.KNOTTED_HOLE_BALL in (e.label_beyond_u,
-                                                 e.label_beyond_v):
+                    ("INVALID_INVOLUTION", f"fixed edge {u!r}-{v!r} swaps its endpoints"))
+            if _KHB in (lu, lv):
                 violations.append(
-                    ("INVALID_INVOLUTION",
-                     f"knotted-hole-ball edge {e.u!r}-{e.v!r} is fixed"))
+                    ("INVALID_INVOLUTION", f"knotted-hole-ball edge {u!r}-{v!r} is fixed"))
     return violations
 
 
@@ -356,18 +351,17 @@ def _quotient_violations(tree: JsjTree) -> list[tuple[str, str]]:
     """The parser's checks, on the typed quotient."""
     violations: list[tuple[str, str]] = []
     pairs: list[tuple[str, str]] = []
-    for e in tree.edges:
-        if e.u not in tree.vertices or e.v not in tree.vertices or e.u == e.v:
-            violations.append(("NOT_A_TREE", f"bad edge endpoints {e.u!r}-{e.v!r}"))
+    vertices = tree.vertices
+    for u, v, lu, lv in tree.edges:
+        if u not in vertices or v not in vertices or u == v:
+            violations.append(("NOT_A_TREE", f"bad edge endpoints {u!r}-{v!r}"))
             continue
-        pairs.append((e.u, e.v))
-        if not _allowed_pair(e.label_beyond_u, e.label_beyond_v):
+        pairs.append((u, v))
+        if not _allowed_pair(lu, lv):
             violations.append((
-                "FORBIDDEN_LABEL_PAIR",
-                f"edge {e.u!r}-{e.v!r} carries "
-                f"({e.label_beyond_u.value}, {e.label_beyond_v.value})"))
-    if not tree.vertices or len(pairs) == len(tree.edges):
-        violations.extend(_shape_violations(tree.vertices, pairs))
+                "FORBIDDEN_LABEL_PAIR", f"edge {u!r}-{v!r} carries ({lu.value}, {lv.value})"))
+    if not vertices or len(pairs) == len(tree.edges):
+        violations.extend(_shape_violations(vertices, pairs))
     return violations
 
 
@@ -381,11 +375,13 @@ def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
     vertices = {v: g for v, g in tree.vertices.items() if rep[v] == v}
 
     edges: dict[frozenset[str], TreeEdge] = {}
-    for e in sorted(tree.edges, key=lambda e: tuple(sorted((e.u, e.v)))):
-        key = frozenset({rep[e.u], rep[e.v]})
+    # In the order of each edge's sorted endpoints.
+    for u, v, lu, lv in sorted(tree.edges,
+                               key=lambda e: (e[1], e[0]) if e[1] < e[0] else (e[0], e[1])):
+        ru, rv = rep[u], rep[v]
+        key = frozenset((ru, rv))
         if key not in edges:
-            edges[key] = TreeEdge(rep[e.u], rep[e.v],
-                                  e.label_beyond_u, e.label_beyond_v)
+            edges[key] = _tuple_new(TreeEdge, (ru, rv, lu, lv))
     quotient_tree = JsjTree(vertices, tuple(edges.values()))
     check = _quotient_violations(quotient_tree)
     if check:
@@ -414,11 +410,11 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
     sigma = spec.vertex_map
     # far-side regions in the cover that are not solid tori, per vertex
     non_st = dict.fromkeys(spec.cover.vertices, 0)
-    for e in spec.cover.edges:
-        if e.label_beyond_u is not RegionLabel.SOLID_TORUS:
-            non_st[e.u] += 1
-        if e.label_beyond_v is not RegionLabel.SOLID_TORUS:
-            non_st[e.v] += 1
+    for u, v, lu, lv in spec.cover.edges:
+        if lu is not _ST:
+            non_st[u] += 1
+        if lv is not _ST:
+            non_st[v] += 1
 
     entries = []
     for qv in sorted(quotient_tree.vertices):

@@ -58,6 +58,14 @@ class Direction(Enum):
     BACKWARD = "bwd"
 
 
+# The members the integer kernel reads per triple and per move, bound once:
+# on 3.11 reading one through its class costs more than ten times a
+# module-level name.
+_SPHERE3, _RP3 = AmbientSpace.SPHERE3, AmbientSpace.RP3
+_R1, _R2, _R3, _R4 = Relation.R1, Relation.R2, Relation.R3, Relation.R4
+_FORWARD, _BACKWARD = Direction.FORWARD, Direction.BACKWARD
+
+
 class CalculusError(Exception):
     """Base class for errors of the link calculus."""
 
@@ -174,7 +182,7 @@ def component_count(link: TorusLink) -> int:
 
 def _swap(space: AmbientSpace, p: int, q: int) -> tuple[int, int]:
     """R2 on (p, q): exchange the handlebodies."""
-    if space is AmbientSpace.SPHERE3:
+    if space is _SPHERE3:
         return q, p
     return -p + 2 * q, q
 
@@ -189,7 +197,7 @@ def _reduce(space: AmbientSpace, p: int, q: int, n: int,
     if n == 0:
         k = p
     elif n == 1:
-        k = q if space is AmbientSpace.SPHERE3 else -p + 2 * q
+        k = q if space is _SPHERE3 else -p + 2 * q
     else:
         return None
     if k <= 0 or q % k or p % k:
@@ -203,20 +211,20 @@ def _move(space: AmbientSpace, relation: Relation, direction: Direction,
 
     R1 and R2 are involutions, so both directions give the same image.
     """
-    if relation is Relation.R1:
+    if relation is _R1:
         return -p, -q, n
-    if relation is Relation.R2:
+    if relation is _R2:
         return (*_swap(space, p, q), n) if n in (0, 2) else None
-    low = 0 if relation is Relation.R3 else 1  # the n that the move raises
-    if direction is Direction.FORWARD:
+    low = 0 if relation is _R3 else 1  # the n that the move raises
+    if direction is _FORWARD:
         image = _reduce(space, p, q, n) if n == low else None
         return None if image is None else (*image, n + 1)
     if n != low + 1:
         return None
     if p == 0 and q == 0:  # the fixed preimages of the module docstring
-        if relation is Relation.R3:
+        if relation is _R3:
             return 1, 0, 0
-        return (0, 1, 1) if space is AmbientSpace.SPHERE3 else (1, 1, 1)
+        return (0, 1, 1) if space is _SPHERE3 else (1, 1, 1)
     image = _reduce(space, p, q, low, 1)
     return None if image is None else (*image, low)
 
@@ -261,11 +269,11 @@ def apply_relation(
 def replay_step(step: RelationStep) -> bool:
     """Check a step by recomputing it from its endpoints."""
     try:
-        if step.direction is Direction.FORWARD:
-            redo = apply_relation(step.before, step.relation, Direction.FORWARD)
+        if step.direction is _FORWARD:
+            redo = apply_relation(step.before, step.relation, _FORWARD)
             return redo.after == step.after
         # A backward step is certified by the forward move in reverse.
-        redo = apply_relation(step.after, step.relation, Direction.FORWARD)
+        redo = apply_relation(step.after, step.relation, _FORWARD)
         return redo.after == step.before
     except CalculusError:
         return False
@@ -290,11 +298,10 @@ def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
 
 
 def _reverse_step(step: RelationStep) -> RelationStep:
-    if step.relation in (Relation.R1, Relation.R2):
+    if step.relation in (_R1, _R2):
         # Involutions: the reverse is again a forward application.
-        return RelationStep(step.relation, Direction.FORWARD, step.after, step.before)
-    flipped = (Direction.BACKWARD if step.direction is Direction.FORWARD
-               else Direction.FORWARD)
+        return RelationStep(step.relation, _FORWARD, step.after, step.before)
+    flipped = _BACKWARD if step.direction is _FORWARD else _FORWARD
     return RelationStep(step.relation, flipped, step.after, step.before)
 
 
@@ -309,6 +316,9 @@ def concat_chains(a: WitnessChain, b: WitnessChain) -> WitnessChain:
 # ---------------------------------------------------------------------------
 # Normal forms.
 
+# The moves of the R1/R2 orbit paths, from s to R1 s, R2 s and R1 R2 s.
+_PATH_R1, _PATH_R2, _PATH_R1_R2 = (_R1,), (_R2,), (_R1, _R2)
+
 
 def _orbit(space: AmbientSpace, p: int, q: int, n: int) -> list[tuple[int, int, tuple]]:
     """The R1/R2 orbit of (p, q) as (p, q, moves) in breadth-first order.
@@ -319,13 +329,13 @@ def _orbit(space: AmbientSpace, p: int, q: int, n: int) -> list[tuple[int, int, 
     """
     if p == 0 and q == 0:  # fixed by both moves
         return [(0, 0, ())]
-    out = [(p, q, ()), (-p, -q, (Relation.R1,))]
+    out = [(p, q, ()), (-p, -q, _PATH_R1)]
     if n != 1:
         sp, sq = _swap(space, p, q)
         # R1 R2 s is new exactly when R2 s is: R2 fixes only (0, 0).
         if (sp, sq) != (p, q) and (sp, sq) != (-p, -q):
-            out.append((sp, sq, (Relation.R2,)))
-            out.append((-sp, -sq, (Relation.R1, Relation.R2)))
+            out.append((sp, sq, _PATH_R2))
+            out.append((-sp, -sq, _PATH_R1_R2))
     return out
 
 
@@ -357,7 +367,7 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
             raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
         if moves is not None:
             moves.extend(path)
-            moves.append(Relation.R3 if n == 0 else Relation.R4)
+            moves.append(_R3 if n == 0 else _R4)
         p, q, n = rp, rq, n + 1
     # Orbit members differ in (p, q), so min never compares their paths.
     p, q, path = min(orbit)
@@ -411,9 +421,9 @@ def _lift(p: int, q: int) -> tuple[int, int]:
 
 def lift(link: TorusLink) -> TorusLink:
     """Preimage in S^3 under the double cover, by `_lift`."""
-    if link.space is not AmbientSpace.RP3:
+    if link.space is not _RP3:
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")
-    return TorusLink(AmbientSpace.SPHERE3, *_lift(link.p, link.q), link.n)
+    return TorusLink(_SPHERE3, *_lift(link.p, link.q), link.n)
 
 
 def classify(link: TorusLink) -> Classification:
@@ -432,7 +442,7 @@ def classify(link: TorusLink) -> Classification:
         return Classification(
             ClassificationKind.NON_SEIFERT_SPLIT,
             f"split link of {c} fibers in a ball: T(0,{c};0)")
-    if (space is AmbientSpace.RP3 and c >= 2
+    if (space is _RP3 and c >= 2
             and nf == canonical(space, 2 * (c - 1), c - 1, 1)):
         return Classification(
             ClassificationKind.NON_SEIFERT_SPLIT,

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -322,6 +323,25 @@ def test_cli_does_not_import_atlas_or_jsj():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.split() == ["False", "False"]
+
+
+def _cap_address_space():
+    # 1 GiB: ample for the interpreter, while the closure at the bound below
+    # needs terabytes, so its allocation fails at once.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_out_of_memory_is_exit_2_with_one_line_and_no_traceback():
+    src = os.path.dirname(os.path.dirname(projlink.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "projlink.cli", "verify", "confluence", "--bound", "100000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "projlink: OUT_OF_MEMORY: not enough memory for this command"]
 
 
 class TestUsage:
