@@ -159,8 +159,15 @@ class Classification(namedtuple("Classification", "kind detail")):
     __slots__ = ()
 
 
+_EMPTY, _SEIFERT, _SPLIT = (ClassificationKind.EMPTY, ClassificationKind.SEIFERT_COMPLEMENT,
+                            ClassificationKind.NON_SEIFERT_SPLIT)
+
+
 def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
     """Build a validated triple; n must be 0, 1 or 2."""
+    # One test for the common case; the loop below orders the errors.
+    if type(p) is type(q) is type(n) is int and 0 <= n <= 2:
+        return TorusLink(space, p, q, n)
     for name, value in (("p", p), ("q", q), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
@@ -429,35 +436,33 @@ def lift(link: TorusLink) -> TorusLink:
 def classify(link: TorusLink) -> Classification:
     """Empty, split (non-Seifert) or Seifert-fibered complement.
 
-    The split families are T(0, q; 0) with q >= 2 in either space and
-    T(2q, q; 1) with q >= 1 in RP^3; membership is decided by comparing
-    normal forms, using the component count to pin down q.
+    The split families are T(0, c; 0) with c >= 2 in either space and
+    T(2m, m; 1) with m = c - 1 >= 1 in RP^3, c the component count.  The
+    link's normal form comes from the memo `normal_form` fills; the members'
+    are in closed form: in S^3 T(0, c; 0) -> (1 - c, 0; 1) by R2, R3 and R1
+    (R4's k = q = 0); in RP^3 T(0, c; 0) -> (-2c, -c; 0) by R1 R2 (R3's k = 2c
+    does not divide c) and T(2m, m; 1) -> (-2m, -m; 1) by R1 (R4's k = 0).
     """
-    space = link.space
-    nf = canonical(space, link.p, link.q, link.n)
-    if nf == canonical(space, 0, 0, 0):
-        return Classification(ClassificationKind.EMPTY, "the empty link")
+    nf = _normal_form_memo(link)[0][1:]
+    if nf == (0, 0, 0):
+        return Classification(_EMPTY, "the empty link")
     c = component_count(link)
-    if c >= 2 and nf == canonical(space, 0, c, 0):
-        return Classification(
-            ClassificationKind.NON_SEIFERT_SPLIT,
-            f"split link of {c} fibers in a ball: T(0,{c};0)")
-    if (space is _RP3 and c >= 2
-            and nf == canonical(space, 2 * (c - 1), c - 1, 1)):
-        return Classification(
-            ClassificationKind.NON_SEIFERT_SPLIT,
-            f"split link T(2q,q;1) with q={c - 1}")
-    return Classification(
-        ClassificationKind.SEIFERT_COMPLEMENT,
-        "complement admits a Seifert fibration")
+    if c >= 2:
+        rp3 = link.space is _RP3
+        if nf == ((-2 * c, -c, 0) if rp3 else (1 - c, 0, 1)):
+            return Classification(_SPLIT, f"split link of {c} fibers in a ball: T(0,{c};0)")
+        if rp3 and nf == (2 - 2 * c, 1 - c, 1):
+            return Classification(_SPLIT, f"split link T(2q,q;1) with q={c - 1}")
+    return Classification(_SEIFERT, "complement admits a Seifert fibration")
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format.
 
 
+# `_value_`, a plain attribute: `value` is a Python-level property on 3.11.
 def link_to_dict(link: TorusLink) -> dict:
-    return {"space": link.space.value, "p": link.p, "q": link.q, "n": link.n}
+    return {"space": link.space._value_, "p": link.p, "q": link.q, "n": link.n}
 
 
 def link_from_dict(data: dict) -> TorusLink:
@@ -470,8 +475,8 @@ def link_from_dict(data: dict) -> TorusLink:
 
 def step_to_dict(step: RelationStep) -> dict:
     return {
-        "relation": step.relation.value,
-        "direction": step.direction.value,
+        "relation": step.relation._value_,
+        "direction": step.direction._value_,
         "before": link_to_dict(step.before),
         "after": link_to_dict(step.after),
     }

@@ -8,7 +8,8 @@ below was recorded from the implementation before its loops were rewritten.
 
 The bytecode guard: on Python 3.11 reading an enum member through its class
 (`RegionLabel.OTHER`) costs more than ten times a module-level alias, so
-no per-element function loads an enum class as a global.
+no per-element function loads an enum class as a global.  On 3.11 `value`
+is a Python-level property, so the wire encoders read `_value_` instead.
 """
 
 import dis
@@ -49,7 +50,8 @@ def test_vertex_and_potential_order_is_unchanged():
     assert order_digest() == ORDER_DIGEST
 
 
-ENUM_CLASSES = frozenset({"AmbientSpace", "Relation", "Direction", "RegionLabel", "Geometry"})
+ENUM_CLASSES = frozenset({"AmbientSpace", "Relation", "Direction", "RegionLabel", "Geometry",
+                          "ClassificationKind"})
 HOT_FUNCTIONS = [
     (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "_orbit"),
     (links, "canonical"),
@@ -60,20 +62,33 @@ HOT_FUNCTIONS = [
     (jsj, "_involution_violations"), (jsj, "lemma44_check"),
     (generators, "_pruefer_edges"), (generators, "random_jsj_tree"),
     (generators, "random_cover_spec"),
+    (links, "make_link"), (links, "classify"),
+    (links, "link_to_dict"), (links, "step_to_dict"), (jsj, "tree_to_dict"),
 ]
+ENCODERS = [(links, "link_to_dict"), (links, "step_to_dict"), (jsj, "tree_to_dict")]
+
+
+def _loads(code: types.CodeType, opnames: tuple[str, ...]) -> set[str]:
+    """Names loaded by `opnames` in `code` and every code object nested in it."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname in opnames}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _loads(const, opnames)
+    return names
 
 
 def _global_loads(code: types.CodeType) -> set[str]:
     """Names loaded as globals by `code` and every code object nested in it."""
-    names = {ins.argval for ins in dis.get_instructions(code)
-             if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _global_loads(const)
-    return names
+    return _loads(code, ("LOAD_GLOBAL", "LOAD_NAME"))
 
 
 @pytest.mark.parametrize("module, name", HOT_FUNCTIONS,
                          ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}" for m, n in HOT_FUNCTIONS])
 def test_hot_loops_read_no_enum_class(module, name):
     assert not _global_loads(vars(module)[name].__code__) & ENUM_CLASSES
+
+
+@pytest.mark.parametrize("module, name", ENCODERS,
+                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}" for m, n in ENCODERS])
+def test_encoders_read_no_value_property(module, name):
+    assert "value" not in _loads(vars(module)[name].__code__, ("LOAD_ATTR",))
