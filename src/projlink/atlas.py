@@ -101,11 +101,6 @@ def _triples(bound: int):
     return product(span, span, (0, 1, 2))
 
 
-def universe(space: AmbientSpace, bound: int) -> list[TorusLink]:
-    """All triples with |p|, |q| <= bound, in lexicographic (p, q, n) order."""
-    return [TorusLink(space, p, q, n) for p, q, n in _triples(bound)]
-
-
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
     """Partition the bounded universe by normal form, in normal-form order."""
     buckets: dict[tuple[int, int, int], list[TorusLink]] = {}
@@ -117,7 +112,7 @@ def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
 
 
 def _index(bound: int, p: int, q: int, n: int) -> int:
-    """Position of (p, q, n) in universe(space, bound)."""
+    """Position of (p, q, n) in _triples(bound)."""
     return ((p + bound) * (2 * bound + 1) + q + bound) * 3 + n
 
 
@@ -136,24 +131,20 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
             x = parent[x]
         return x
 
-    i = 0  # the position of (p, q, n)
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            for n in (0, 1, 2):
-                images = [(-p, -q, n)]
-                if n != 1:
-                    images.append((*_swap(space, p, q), n))
-                reduced = _reduce(space, p, q, n)
-                if reduced is not None:
-                    images.append((*reduced, n + 1))
-                for image in images:
-                    if abs(image[0]) <= bound and abs(image[1]) <= bound:
-                        a, b = find(i), find(_index(bound, *image))
-                        if a < b:
-                            parent[b] = a
-                        elif b < a:
-                            parent[a] = b
-                i += 1
+    for i, (p, q, n) in enumerate(_triples(bound)):
+        images = [(-p, -q, n)]
+        if n != 1:
+            images.append((*_swap(space, p, q), n))
+        reduced = _reduce(space, p, q, n)
+        if reduced is not None:
+            images.append((*reduced, n + 1))
+        for image in images:
+            if abs(image[0]) <= bound and abs(image[1]) <= bound:
+                a, b = find(i), find(_index(bound, *image))
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
     return [find(x) for x in range(len(parent))]
 
 
@@ -166,7 +157,7 @@ def closure_partition(space: AmbientSpace, bound: int) -> dict[TorusLink, TorusL
     is why callers use a larger closure universe than the one they report
     on.  Returns a map from each triple to the least triple of its class.
     """
-    links = universe(space, bound)
+    links = [TorusLink(space, *t) for t in _triples(bound)]
     return {link: links[root] for link, root in zip(links, _closure_roots(space, bound))}
 
 

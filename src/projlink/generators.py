@@ -66,8 +66,6 @@ def _pruefer_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on vertices 0..n-1 via Pruefer decoding."""
     if n <= 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = _draws(rng, n, n - 2)
     degree = [1] * n
     for x in seq:
@@ -110,12 +108,12 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
     root.  A subtree is doubled whenever it sits beyond a knotted hole
     ball (forced) or, with probability ``move_bias``, beyond a solid
     torus; inside doubled subtrees the back label is always OTHER, since a
-    piece with a disconnected preimage is never outermost.
+    piece with a disconnected preimage is never outermost.  Edges are
+    labelled in breadth-first order from a random root.
     """
     n = n_quotient_vertices
-    base_edges = _pruefer_edges(rng, n)
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in base_edges:
+    for u, v in _pruefer_edges(rng, n):
         adj[u].append(v)
         adj[v].append(u)
 
@@ -123,34 +121,24 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
     geometry = [_GEOMETRIES[g] for g in _draws(rng, len(_GEOMETRIES), n)]
 
     moved: dict[int, bool] = {root: False}
-    labels: dict[tuple[int, int], tuple[RegionLabel, RegionLabel]] = {}
+    labels: list[tuple[int, int, tuple[RegionLabel, RegionLabel]]] = []
     order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        a = order[i]
-        i += 1
+    for a in order:
         for b in adj[a]:
-            if b in seen:
+            if b in moved:
                 continue
-            seen.add(b)
             order.append(b)
             if moved[a]:
                 # Whole subtree lies in a doubled region.
                 moved[b] = True
-                far = _MOVED_FAR[_draws(rng, len(_MOVED_FAR), 1)[0]]
-                labels[(a, b)] = (far, _OTHER)
+                pair = _MOVED_FAR[_draws(rng, len(_MOVED_FAR), 1)[0]], _OTHER
             else:
                 far = _KHB if rng.random() < 0.35 else _ST
-                if far is _KHB:
-                    moved[b] = True  # knotted hole balls lift to two copies
-                    labels[(a, b)] = (far, _OTHER)
-                elif rng.random() < move_bias:
-                    moved[b] = True
-                    labels[(a, b)] = (far, _OTHER)
-                else:
-                    moved[b] = False
-                    labels[(a, b)] = (far, _FIXED_BACK[_draws(rng, len(_FIXED_BACK), 1)[0]])
+                # Knotted hole balls always lift to two copies.
+                moved[b] = far is _KHB or rng.random() < move_bias
+                back = _OTHER if moved[b] else _FIXED_BACK[_draws(rng, len(_FIXED_BACK), 1)[0]]
+                pair = far, back
+            labels.append((a, b, pair))
 
     # The ids of each base vertex's copies, built once.
     copies = [[f"{vid}.a", f"{vid}.b"] if moved[v] else [vid]
@@ -160,13 +148,10 @@ def random_cover_spec(rng: random.Random, n_quotient_vertices: int,
     for ids, geom in zip(copies, geometry):
         for cid in ids:
             vertices[cid] = geom
-        if len(ids) == 2:
-            vertex_map[ids[0]], vertex_map[ids[1]] = ids[1], ids[0]
-        else:
-            vertex_map[ids[0]] = ids[0]
+        vertex_map.update(zip(ids, reversed(ids)))
 
     # A moved piece has only moved children: a fixed parent joins every copy
     # of its child, and copy i of a moved parent joins copy i of its child.
-    edges = [_tuple_new(TreeEdge, (u, v) + pair) for (a, b), pair in labels.items()
+    edges = [_tuple_new(TreeEdge, (u, v) + pair) for a, b, pair in labels
              for u, v in zip(copies[a] * 2, copies[b])]
     return CoverSpec(JsjTree(vertices, tuple(edges)), vertex_map)

@@ -273,22 +273,12 @@ def apply_relation(
     return RelationStep(relation, direction, link, TorusLink(link.space, *image))
 
 
-def replay_step(step: RelationStep) -> bool:
-    """Check a step by recomputing it from its endpoints."""
-    try:
-        if step.direction is _FORWARD:
-            redo = apply_relation(step.before, step.relation, _FORWARD)
-            return redo.after == step.after
-        # A backward step is certified by the forward move in reverse.
-        redo = apply_relation(step.after, step.relation, _FORWARD)
-        return redo.after == step.before
-    except CalculusError:
-        return False
-
-
 def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
                  end: TorusLink | None = None) -> bool:
-    """Replay every step and check composability and endpoints."""
+    """Replay every step and check composability and endpoints.
+
+    A backward step replays as the forward move from `after` to `before`.
+    """
     steps = chain.steps
     if not steps:
         return start is None or end is None or start == end
@@ -297,27 +287,16 @@ def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
     if end is not None and steps[-1].after != end:
         return False
     for i, step in enumerate(steps):
-        if not replay_step(step):
+        source, target = ((step.before, step.after) if step.direction is _FORWARD
+                          else (step.after, step.before))
+        try:
+            if apply_relation(source, step.relation).after != target:
+                return False
+        except CalculusError:
             return False
         if i and steps[i - 1].after != step.before:
             return False
     return True
-
-
-def _reverse_step(step: RelationStep) -> RelationStep:
-    if step.relation in (_R1, _R2):
-        # Involutions: the reverse is again a forward application.
-        return RelationStep(step.relation, _FORWARD, step.after, step.before)
-    flipped = _BACKWARD if step.direction is _FORWARD else _FORWARD
-    return RelationStep(step.relation, flipped, step.after, step.before)
-
-
-def reverse_chain(chain: WitnessChain) -> WitnessChain:
-    return WitnessChain(tuple(_reverse_step(s) for s in reversed(chain.steps)))
-
-
-def concat_chains(a: WitnessChain, b: WitnessChain) -> WitnessChain:
-    return WitnessChain(a.steps + b.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +395,14 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
     """
     if a.space is not b.space:
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
+    # A positive verdict reduces again via the memo, warming it for later canon queries.
     if canonical(a.space, a.p, a.q, a.n) != canonical(b.space, b.p, b.q, b.n):
         return False, None
-    return True, concat_chains(normal_form(a)[1], reverse_chain(normal_form(b)[1]))
+    # b's chain holds forward moves only; run backward, R1 and R2 stay forward.
+    return True, WitnessChain(normal_form(a)[1].steps + tuple(
+        RelationStep(s.relation, _FORWARD if s.relation is _R1 or s.relation is _R2
+                     else _BACKWARD, s.after, s.before)
+        for s in reversed(normal_form(b)[1].steps)))
 
 
 def _lift(p: int, q: int) -> tuple[int, int]:

@@ -6,6 +6,8 @@ again) that the single parser replaced, and from the generators before
 their constants moved to module level.  They pin, byte for byte, the trees
 and covers every seed yields, the violation list of every malformed tree in
 a fixed corpus, and what `projlink jsj` prints on valid and invalid inputs.
+The generator-state digest was recorded from the cover generator that kept
+a separate visited set and index counter in its breadth-first walk.
 """
 
 import contextlib
@@ -41,6 +43,9 @@ STREAM_DIGESTS = {
     "trees": "6e9ec4abbc17a8aebdcd26cbc3ac6b6bbef82142c04d0f226afa13c0698f9249",
     "covers": "85ad0794dc709c068c7b8fd45dc10cc7d841940a207a9606302fd5b6a26e036d",
 }
+# The stream digests miss a change that draws extra numbers after a call's
+# last pick; this one hashes the generator's state after every call.
+RNG_STATE_DIGEST = "a055a558a3fd8ef9bebe5ab03574ca76e3004a2fa86e3078e1626f559faef69d"
 VIOLATIONS_DIGEST = "f85f73a7b779d5399a3ddbea9aa28c9cf5778902e83842c1ad5af49fbce67c89"
 STDOUT_DIGESTS = {
     "outermost": "78cbcce4e9afb15b1759b330c31ba0f83fd02733969005ea4deec9984174666b",
@@ -71,6 +76,26 @@ def cover_stream_digest() -> str:
             for bias in MOVE_BIASES:
                 spec = random_cover_spec(rng, size, move_bias=bias)
                 digest.update(_canonical_json(cover_to_dict(spec)))
+    return digest.hexdigest()
+
+
+def rng_state_digest() -> str:
+    """repr(rng.getstate()) after every call of both streams, size-0 covers included."""
+    digest = hashlib.sha256()
+    for seed in range(40):
+        rng = random.Random(seed)
+        for size in TREE_SIZES:
+            random_jsj_tree(rng, size)
+            digest.update(repr(rng.getstate()).encode())
+        rng = random.Random(seed)
+        for size in (0,) + COVER_SIZES:
+            for bias in MOVE_BIASES:
+                if size:
+                    random_cover_spec(rng, size, move_bias=bias)
+                else:
+                    with pytest.raises(ValueError):
+                        random_cover_spec(rng, size, move_bias=bias)
+                digest.update(repr(rng.getstate()).encode())
     return digest.hexdigest()
 
 
@@ -234,6 +259,10 @@ def test_tree_stream_is_unchanged():
 
 def test_cover_stream_is_unchanged():
     assert cover_stream_digest() == STREAM_DIGESTS["covers"]
+
+
+def test_generator_states_are_unchanged():
+    assert rng_state_digest() == RNG_STATE_DIGEST
 
 
 def test_violation_lists_are_unchanged():
