@@ -119,11 +119,14 @@ def _index(bound: int, p: int, q: int, n: int) -> int:
 def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
     """Union-find closure of the bounded universe under all relation moves.
 
-    Works on universe positions (see _index) in a flat parent list.  Every
-    class is rooted at its least position, so at its lexicographically
-    least triple.  Returns the root of every position.
+    Works on universe positions (see _index) in a flat parent list.  R1 and
+    R2 are involutions, so each of their pairs is joined once, from its later
+    position; a reduction is joined from its source.  Every class is rooted
+    at its least position, so at its lexicographically least triple.
+    Returns the root of every position.
     """
-    parent = list(range(3 * (2 * bound + 1) ** 2))
+    width = 2 * bound + 1
+    parent = list(range(3 * width * width))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -132,19 +135,25 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
         return x
 
     for i, (p, q, n) in enumerate(_triples(bound)):
-        images = [(-p, -q, n)]
+        j = ((bound - p) * width + bound - q) * 3 + n  # R1 keeps |p| and |q|
+        targets = [j] if j < i else []
         if n != 1:
-            images.append((*_swap(space, p, q), n))
+            ip, iq = _swap(space, p, q)
+            if abs(ip) <= bound and abs(iq) <= bound:
+                j = ((ip + bound) * width + iq + bound) * 3 + n
+                if j < i:
+                    targets.append(j)
         reduced = _reduce(space, p, q, n)
         if reduced is not None:
-            images.append((*reduced, n + 1))
-        for image in images:
-            if abs(image[0]) <= bound and abs(image[1]) <= bound:
-                a, b = find(i), find(_index(bound, *image))
-                if a < b:
-                    parent[b] = a
-                elif b < a:
-                    parent[a] = b
+            ip, iq = reduced
+            if abs(ip) <= bound and abs(iq) <= bound:
+                targets.append(((ip + bound) * width + iq + bound) * 3 + n + 1)
+        for j in targets:
+            a, b = find(i), find(j)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
     return [find(x) for x in range(len(parent))]
 
 

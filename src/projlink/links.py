@@ -19,15 +19,14 @@ take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
 integers; `apply_relation` and `applicable_relations` read it.
 
-`canonical(space, p, q, n)` computes the normal form on plain integers:
-greedy forward reduction (R3/R4 always shrink |p| + |q|) followed by
-lexicographic minimization over the R1/R2 orbit.  R3 needs n = 0 and yields
-n = 1, R4 needs n = 1 and yields n = 2, so there are at most two
-reductions, each searching an orbit of at most four members: the depth is
-constant.  `normal_form` replays the moves `canonical` applied into a
-witness chain, so every positive verdict carries a replayable certificate;
-callers that only compare classes, such as the atlas and its verifiers,
-use `canonical` and build no chains.
+`canonical(space, p, q, n)` computes the normal form on plain integers in
+three straight-line blocks: an R3 reduction (n = 0 -> 1), an R4 reduction
+(n = 1 -> 2), each on the best member of the R1/R2 orbit (R3/R4 always
+shrink |p| + |q|), then the lexicographic minimum over the final orbit.
+`normal_form` replays the moves `canonical` applied into a witness chain,
+so every positive verdict carries a replayable certificate; callers that
+only compare classes, such as the atlas and its verifiers, use `canonical`
+and build no chains.
 
 The records are named tuples, each equal to the plain tuple of its fields,
 except `WitnessChain`: an immutable class whose length is its step count.
@@ -306,60 +305,59 @@ def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
 _PATH_R1, _PATH_R2, _PATH_R1_R2 = (_R1,), (_R2,), (_R1, _R2)
 
 
-def _orbit(space: AmbientSpace, p: int, q: int, n: int) -> list[tuple[int, int, tuple]]:
-    """The R1/R2 orbit of (p, q) as (p, q, moves) in breadth-first order.
-
-    Negation and the handlebody swap are commuting involutions, so the orbit
-    is s, R1 s, R2 s, R1 R2 s with repeats dropped.  Each member carries the
-    moves of the first breadth-first path that reaches it from s.
-    """
-    if p == 0 and q == 0:  # fixed by both moves
-        return [(0, 0, ())]
-    out = [(p, q, ()), (-p, -q, _PATH_R1)]
-    if n != 1:
-        sp, sq = _swap(space, p, q)
-        # R1 R2 s is new exactly when R2 s is: R2 fixes only (0, 0).
-        if (sp, sq) != (p, q) and (sp, sq) != (-p, -q):
-            out.append((sp, sq, _PATH_R2))
-            out.append((-sp, -sq, _PATH_R1_R2))
-    return out
-
-
 def canonical(space: AmbientSpace, p: int, q: int, n: int,
               moves: list[Relation] | None = None) -> tuple[int, int, int]:
     """Normal form of T(p, q; n) as a plain (p, q, n) triple.
 
-    While some member of the R1/R2 orbit admits a forward R3/R4 reduction,
-    applies the one with the least result (p, q), the member reached by the
-    shorter orbit path winning ties; then returns the least (p, q) over the
-    orbit.  Each reduction raises n, so there are at most two.  When `moves`
-    is a list, the forward moves applied are appended to it in order.
+    Three blocks, each run at most once: R3 at n = 0, then R4 at n = 1, then
+    the least (p, q) over the R1/R2 orbit s, R1 s, R2 s, R1 R2 s (R2 only
+    at n != 1).  A reduction applies to the orbit member with the least
+    result (p, q).  Ties, in a reduction or in the minimum, go to the member
+    first in that order, so an R2 s equal to +-s changes nothing.
+    When `moves` is a list, the moves applied are appended to it in order.
     Raises CalculusError if a reduction fails to shrink |p| + |q|.  The
     arguments are not validated: build triples from outside input with
     make_link first.
     """
-    while True:
-        orbit = _orbit(space, p, q, n)
-        best = None
-        if n < 2:
-            for mp, mq, path in orbit:
-                after = _reduce(space, mp, mq, n)
-                if after is not None and (best is None or after < best[0]):
-                    best = after, path, abs(mp) + abs(mq)
+    if n == 0:
+        # R3's divisor is the member's own first coordinate: of each pair
+        # +-(a, b), only the member with a > 0 can reduce.
+        a, b, path = (p, q, ()) if p > 0 else (-p, -q, _PATH_R1)
+        best = _reduce(space, a, b, 0)
+        c, d = _swap(space, p, q)
+        c, d, swapped = (c, d, _PATH_R2) if c > 0 else (-c, -d, _PATH_R1_R2)
+        other = _reduce(space, c, d, 0)
+        if other is not None and (best is None or other < best):
+            best, a, b, path = other, c, d, swapped
+        if best is not None:
+            if abs(best[0]) + abs(best[1]) >= abs(a) + abs(b):
+                raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
+            if moves is not None:
+                moves += (*path, _R3)
+            (p, q), n = best, 1
+    if n == 1:
+        # R2 does not apply, and R4's divisor is linear: at most one of +-s reduces.
+        a, b, path = p, q, ()
+        best = _reduce(space, p, q, 1)
         if best is None:
-            break
-        (rp, rq), path, measure = best
-        if abs(rp) + abs(rq) >= measure:
-            raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
-        if moves is not None:
-            moves.extend(path)
-            moves.append(_R3 if n == 0 else _R4)
-        p, q, n = rp, rq, n + 1
-    # Orbit members differ in (p, q), so min never compares their paths.
-    p, q, path = min(orbit)
+            a, b, path = -p, -q, _PATH_R1
+            best = _reduce(space, a, b, 1)
+        if best is not None:
+            if abs(best[0]) + abs(best[1]) >= abs(a) + abs(b):
+                raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
+            if moves is not None:
+                moves += (*path, _R4)
+            (p, q), n = best, 2
+    # The lesser of +-(a, b) is the one with a < 0, or with a = 0 and b <= 0.
+    a, b, path = (-p, -q, _PATH_R1) if p > 0 or not p and q > 0 else (p, q, ())
+    if n != 1:
+        c, d = _swap(space, p, q)
+        c, d, swapped = (-c, -d, _PATH_R1_R2) if c > 0 or not c and d > 0 else (c, d, _PATH_R2)
+        if c < a or c == a and d < b:
+            a, b, path = c, d, swapped
     if moves is not None:
-        moves.extend(path)
-    return p, q, n
+        moves += path
+    return a, b, n
 
 
 def normal_form(link: TorusLink) -> tuple[TorusLink, WitnessChain]:

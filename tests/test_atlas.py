@@ -105,6 +105,18 @@ class TestClosurePartition:
         assert part[make_link(S3, 2, 3, 0)] != part[make_link(S3, 2, 5, 0)]
         assert same_class("s3", (2, 3, 0), (2, 5, 0), 50) is False
 
+    @pytest.mark.parametrize("space", [S3, RP3])
+    def test_union_find_matches_independent_oracle(self, space):
+        # The audit trusts this union-find to check `canonical`, so it is
+        # checked here against the oracle, which shares no code with it.
+        for bound in range(21):
+            classes = {}
+            for t, root in zip(atlas_module._triples(bound),
+                               atlas_module._closure_roots(space, bound)):
+                classes.setdefault(root, set()).add(t)
+            assert set(map(frozenset, classes.values())) == \
+                set(closure_classes(space.value, bound)), bound
+
 
 class TestConfluenceAudit:
     @pytest.mark.parametrize("space", [S3, RP3])

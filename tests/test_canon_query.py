@@ -3,6 +3,8 @@
 The classify digest and the make_link errors below were recorded from the
 implementation in which `classify` reduced the link and each split family
 representative with `canonical`, and `make_link` tested each field in turn.
+The canonical digest was recorded from the `canonical` that searched the
+R1/R2 orbit in a loop.
 """
 
 import hashlib
@@ -31,6 +33,10 @@ BIG = 10**18
 # SHA-256 over "space p,q,n kind detail" lines of every triple in
 # `classify_cases`, in order.
 CLASSIFY_DIGEST = "de9bb2f26a5897589cb33e15d7cef72fa3d11ad28c0b8c9fbc7a26516a22a045"
+# SHA-256 over "space p,q,n P,Q,N moves" lines of every triple in
+# `classify_cases`, in order: (P, Q, N) is `canonical` of the triple and
+# moves are the relations it records, space-separated.
+CANONICAL_DIGEST = "63074cdbfe40cdc8099279406371b4927160cdb1fe8ceec7172d53d6b3162f47"
 
 
 def classify_cases():
@@ -72,6 +78,16 @@ def test_classify_is_unchanged():
         kind, detail = classify(TorusLink(space, p, q, n))
         digest.update(f"{space.value} {p},{q},{n} {kind.value} {detail}\n".encode())
     assert digest.hexdigest() == CLASSIFY_DIGEST
+
+
+def test_canonical_is_unchanged():
+    digest = hashlib.sha256()
+    for space, p, q, n in classify_cases():
+        moves: list = []
+        nf_p, nf_q, nf_n = canonical(space, p, q, n, moves)
+        digest.update(f"{space.value} {p},{q},{n} {nf_p},{nf_q},{nf_n} "
+                      f"{' '.join(m.value for m in moves)}\n".encode())
+    assert digest.hexdigest() == CANONICAL_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,15 @@ def test_moves_replay_to_the_chain():
     assert moves == [s.relation for s in chain.steps]
 
 
-def test_reduction_that_does_not_shrink_is_an_error(monkeypatch):
-    def grow(space, p, q, n):
-        return (abs(p) + 1, abs(q)) if n == 0 else None
+@pytest.mark.parametrize("space", [S3, RP3])
+@pytest.mark.parametrize("site", [0, 1])  # the n of R3 and of R4
+def test_reduction_that_does_not_shrink_is_an_error(monkeypatch, space, site):
+    def grow(_, p, q, n):
+        return (abs(p) + 1, abs(q)) if n == site else None
 
     monkeypatch.setattr(links, "_reduce", grow)
-    with pytest.raises(CalculusError):
-        canonical(S3, 2, 4, 0)
+    with pytest.raises(CalculusError, match=rf"reduction of \(2, 4, {site}\) does not shrink"):
+        canonical(space, 2, 4, site)
 
 
 # ---------------------------------------------------------------------------

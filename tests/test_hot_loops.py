@@ -53,8 +53,7 @@ def test_vertex_and_potential_order_is_unchanged():
 ENUM_CLASSES = frozenset({"AmbientSpace", "Relation", "Direction", "RegionLabel", "Geometry",
                           "ClassificationKind"})
 HOT_FUNCTIONS = [
-    (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "_orbit"),
-    (links, "canonical"),
+    (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "canonical"),
     (atlas, "_closure_roots"), (atlas, "verify_lift_injectivity"),
     (atlas, "relation_lift_compatibility"),
     (jsj, "_allowed_pair"), (jsj, "_parse_tree"), (jsj, "edge_orientation"),
