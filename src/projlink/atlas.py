@@ -35,10 +35,6 @@ from .links import (
 class Atlas(namedtuple("Atlas", "space bound classes")):
     __slots__ = ()  # classes: normal form -> members, in normal-form order
 
-    def class_of(self, link: TorusLink) -> tuple[TorusLink, ...]:
-        space = link.space
-        return self.classes[TorusLink(space, *canonical(space, link.p, link.q, link.n))]
-
     def to_dict(self) -> dict:
         return {
             "space": self.space.value,
@@ -155,19 +151,6 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
             elif b < a:
                 parent[a] = b
     return [find(x) for x in range(len(parent))]
-
-
-def closure_partition(space: AmbientSpace, bound: int) -> dict[TorusLink, TorusLink]:
-    """Equivalence closure of the bounded universe under all relation moves.
-
-    Forward moves are enumerated from every triple; a backward move is the
-    reverse of some forward move from its target, so the closure covers both
-    directions.  Moves whose result leaves the universe are skipped, which
-    is why callers use a larger closure universe than the one they report
-    on.  Returns a map from each triple to the least triple of its class.
-    """
-    links = [TorusLink(space, *t) for t in _triples(bound)]
-    return {link: links[root] for link, root in zip(links, _closure_roots(space, bound))}
 
 
 def _split_pairs(groups: dict):

@@ -3,7 +3,8 @@
 One JSON document per invocation on stdout (keys sorted, no timing data);
 diagnostics, including elapsed times, go to stderr.  Exit codes: 0 for
 success or a property that holds, 1 for a refuted property or a validation
-failure, 2 for usage errors and for a command that runs out of memory.
+failure, 2 for usage errors and for a command that runs out of memory or
+whose --bound is too large to index.
 """
 
 from __future__ import annotations
@@ -205,9 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     except CalculusError as exc:
         print(f"projlink: {exc.code}: {exc}", file=sys.stderr)
         return 2
-    # Such as the closure of `verify confluence` at a huge --bound; every
-    # command prints only after its work is done, so stdout stays empty.
-    except MemoryError:
+    # Such as the closure of `verify confluence` at a huge --bound, or a
+    # universe with more triples than the interpreter can index (OverflowError,
+    # from --bound 2^62); every command prints only after its work is done.
+    except (MemoryError, OverflowError):
         print("projlink: OUT_OF_MEMORY: not enough memory for this command",
               file=sys.stderr)
         return 2

@@ -19,14 +19,14 @@ endpoints (that would quotient to a one-sided torus) and knotted hole
 balls always lift to two copies, so edges touching them must be moved.
 
 Each raw tree is read in one pass: `_parse_tree` returns the typed tree or
-every violation in input order, and `tree_violations` and `validate_tree`
-wrap it.  Only `potential` walks the tree, so the adjacency is built once
-per tree, there.  `outermost` is the label criterion read off each edge's
-labels; that it equals the local minima of the potential and is never
-empty on a valid tree is checked by the tests, not at run time.
-`lemma44_check` counts the cover's far-side labels in one pass over its
-edges, and checks the quotient on its typed edges.  The four records are
-named tuples.
+every violation in input order, and `validate_tree` wraps it.  Only
+`potential` walks the tree, so the adjacency is built once per tree, there.
+`outermost` is the label criterion read off each edge's labels; that it
+equals the local minima of the potential and is never empty on a valid tree
+is checked by the tests, not at run time.  `lemma44_check` takes the
+cover's `quotient`, which checks itself on its typed edges, and counts the
+cover's far-side labels in one pass over the cover's edges.  The four
+records are named tuples.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ _GEOMETRIES = {**{geom.value: geom for geom in Geometry},
 class TreeEdge(namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")):
     # label_beyond_x: the region on the far side of the torus from x.
     __slots__ = ()
-
-    def label_away_from(self, vertex: str) -> RegionLabel:
-        if vertex == self.u:
-            return self.label_beyond_u
-        if vertex == self.v:
-            return self.label_beyond_v
-        raise KeyError(vertex)
 
 
 # _tuple_new(TreeEdge, (u, v, lu, lv)) is the record TreeEdge(u, v, lu, lv),
@@ -215,11 +208,6 @@ def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
     return JsjTree(vertices, tuple(edges)), []
 
 
-def tree_violations(raw: dict) -> list[tuple[str, str]]:
-    """All constraint violations of a raw tree description."""
-    return _parse_tree(raw)[1]
-
-
 def validate_tree(raw: dict) -> JsjTree:
     """Parse and validate a raw tree description; raises on any violation."""
     tree, violations = _parse_tree(raw)
@@ -365,7 +353,9 @@ def _quotient_violations(tree: JsjTree) -> list[tuple[str, str]]:
     return violations
 
 
-def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
+def quotient(spec: CoverSpec) -> JsjTree:
+    """Quotient tree of a cover by its involution; labels are inherited and
+    each orbit is named by its least vertex id."""
     violations = _involution_violations(spec)
     if violations:
         raise TreeValidationError(violations)
@@ -388,12 +378,7 @@ def _quotient_with_map(spec: CoverSpec) -> tuple[JsjTree, dict[str, str]]:
         raise TreeValidationError(
             [("INVALID_INVOLUTION", f"quotient is invalid ({c}: {d})")
              for c, d in check])
-    return quotient_tree, rep
-
-
-def quotient(spec: CoverSpec) -> JsjTree:
-    """Quotient tree of a cover by its involution; labels are inherited."""
-    return _quotient_with_map(spec)[0]
+    return quotient_tree
 
 
 def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
@@ -405,7 +390,7 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
     geometrically consistent covers the two computations agree; the entries
     report any mismatch.
     """
-    quotient_tree, rep = _quotient_with_map(spec)
+    quotient_tree = quotient(spec)
     outer = outermost(quotient_tree)
     sigma = spec.vertex_map
     # far-side regions in the cover that are not solid tori, per vertex
@@ -418,9 +403,6 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
 
     entries = []
     for qv in sorted(quotient_tree.vertices):
-        # rep maps cover ids onto quotient ids; orbit reps are their own image
-        if rep[qv] != qv:
-            raise RuntimeError(f"quotient vertex {qv!r} does not represent its orbit")
         orbit = tuple(sorted({qv, sigma[qv]}))
         if len(orbit) == 1:
             criterion = non_st[qv] % 2 == 0

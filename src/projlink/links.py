@@ -17,7 +17,8 @@ a backward move reads it off the image as k - 1 and scales by (k + 1)/k.  The
 images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
 take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
-integers; `apply_relation` and `applicable_relations` read it.
+integers; `apply_relation` reads it, and the atlas's relation-lift verifier
+runs it over `_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
 three straight-line blocks: an R3 reduction (n = 0 -> 1), an R4 reduction
@@ -235,8 +236,8 @@ def _move(space: AmbientSpace, relation: Relation, direction: Direction,
     return None if image is None else (*image, low)
 
 
-# Every move, in the order applicable_relations lists them.  R1 and R2 are
-# listed forward only.
+# Every move, in the order the relation-lift verifier tries them.  R1 and R2
+# are involutions, listed forward only.
 _MOVES = (
     (Relation.R1, Direction.FORWARD),
     (Relation.R2, Direction.FORWARD),
@@ -245,16 +246,6 @@ _MOVES = (
     (Relation.R4, Direction.FORWARD),
     (Relation.R4, Direction.BACKWARD),
 )
-
-
-def applicable_relations(link: TorusLink) -> list[tuple[Relation, Direction]]:
-    """All moves applicable to this exact triple.
-
-    R1 and R2 are involutions and are listed only in the forward direction;
-    R3/R4 are listed backward whenever the inverse side-conditions hold.
-    """
-    space, p, q, n = link.space, link.p, link.q, link.n
-    return [move for move in _MOVES if _move(space, *move, p, q, n) is not None]
 
 
 def apply_relation(

@@ -9,13 +9,15 @@ import pytest
 from closure_oracle import closure_classes, same_class
 from projlink import atlas as atlas_module
 from projlink.atlas import (
-    closure_partition,
+    _closure_roots,
+    _index,
+    _triples,
     confluence_audit,
     enumerate_classes,
     relation_lift_compatibility,
     verify_lift_injectivity,
 )
-from projlink.links import AmbientSpace, canonical, make_link, normal_form
+from projlink.links import AmbientSpace, TorusLink, canonical, make_link, normal_form
 
 S3 = AmbientSpace.SPHERE3
 RP3 = AmbientSpace.RP3
@@ -34,7 +36,7 @@ class TestEnumerateClasses:
 
     def test_hopf_class_at_bound_two(self):
         atlas = enumerate_classes(S3, 2)
-        hopf = atlas.class_of(make_link(S3, 0, 0, 2))
+        hopf = atlas.classes[TorusLink(S3, *canonical(S3, 0, 0, 2))]
         assert {(2, 2, 0), (2, -2, 0), (1, 1, 1), (1, -1, 1), (0, 0, 2)} <= \
             as_triples(hopf)
 
@@ -67,7 +69,7 @@ class TestEnumerateClasses:
         atlas = enumerate_classes(S3, 3)
         seen = [m for members in atlas.classes.values() for m in members]
         assert len(seen) == len(set(seen))
-        assert set(seen) == set(closure_partition(S3, 3))
+        assert set(seen) == {make_link(S3, *t) for t in _triples(3)}
 
     def test_serialization_is_deterministic(self):
         a = json.dumps(enumerate_classes(S3, 2).to_dict(), sort_keys=True)
@@ -90,19 +92,19 @@ class TestClosurePartition:
     def test_monotone_consistency(self, space):
         # Restricting the closure at a larger bound to a smaller universe
         # must reproduce the smaller closure exactly.
-        small = closure_partition(space, 2)
-        large = closure_partition(space, 6)
+        small = _closure_roots(space, 2)
+        large = _closure_roots(space, 6)
         by_small = {}
         by_large = {}
-        for link in small:
-            by_small.setdefault(small[link], set()).add(link)
-            by_large.setdefault(large[link], set()).add(link)
+        for t in _triples(2):
+            by_small.setdefault(small[_index(2, *t)], set()).add(t)
+            by_large.setdefault(large[_index(6, *t)], set()).add(t)
         assert set(map(frozenset, by_small.values())) == \
             set(map(frozenset, by_large.values()))
 
     def test_distinct_small_torus_knots(self):
-        part = closure_partition(S3, 50)
-        assert part[make_link(S3, 2, 3, 0)] != part[make_link(S3, 2, 5, 0)]
+        roots = _closure_roots(S3, 50)
+        assert roots[_index(50, 2, 3, 0)] != roots[_index(50, 2, 5, 0)]
         assert same_class("s3", (2, 3, 0), (2, 5, 0), 50) is False
 
     @pytest.mark.parametrize("space", [S3, RP3])
@@ -111,8 +113,7 @@ class TestClosurePartition:
         # checked here against the oracle, which shares no code with it.
         for bound in range(21):
             classes = {}
-            for t, root in zip(atlas_module._triples(bound),
-                               atlas_module._closure_roots(space, bound)):
+            for t, root in zip(_triples(bound), _closure_roots(space, bound)):
                 classes.setdefault(root, set()).add(t)
             assert set(map(frozenset, classes.values())) == \
                 set(closure_classes(space.value, bound)), bound

@@ -326,15 +326,28 @@ def test_cli_does_not_import_atlas_or_jsj():
 
 
 def _cap_address_space():
-    # 1 GiB: ample for the interpreter, while the closure at the bound below
-    # needs terabytes, so its allocation fails at once.
+    # 1 GiB: ample for the interpreter, while the confluence closure at bound
+    # 100000 needs terabytes, so its allocation fails at once.
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_out_of_memory_is_exit_2_with_one_line_and_no_traceback():
+# At 2^62 the universe has more triples than the interpreter can index, so
+# each command fails before it allocates anything.
+HUGE = str(1 << 62)
+
+
+@pytest.mark.parametrize("command, bound", [
+    (["verify", "confluence"], "100000"),
+    (["atlas", "--space", "s3"], HUGE),
+    (["verify", "confluence"], HUGE),
+    (["verify", "lift-injectivity"], HUGE),
+    (["verify", "relation-lift"], HUGE),
+], ids=["confluence-1e5", "atlas-2^62", "confluence-2^62", "lift-injectivity-2^62",
+        "relation-lift-2^62"])
+def test_out_of_memory_is_exit_2_with_one_line_and_no_traceback(command, bound):
     src = os.path.dirname(os.path.dirname(projlink.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "projlink.cli", "verify", "confluence", "--bound", "100000"],
+        [sys.executable, "-m", "projlink.cli", *command, "--bound", bound],
         capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2

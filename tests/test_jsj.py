@@ -16,6 +16,7 @@ from projlink.jsj import (
     RegionLabel,
     TreeEdge,
     TreeValidationError,
+    _parse_tree,
     cover_from_dict,
     cover_to_dict,
     edge_orientation,
@@ -24,7 +25,6 @@ from projlink.jsj import (
     potential,
     quotient,
     tree_to_dict,
-    tree_violations,
     validate_tree,
 )
 
@@ -59,31 +59,31 @@ class TestValidateTree:
         assert set(tree.vertices) == {"a"}
 
     def test_solid_torus_against_knotted_hole_ball(self):
-        codes = [c for c, _ in tree_violations(
-            raw_tree(["a", "b"], [("a", "b", ST, KHB)]))]
+        codes = [c for c, _ in _parse_tree(
+            raw_tree(["a", "b"], [("a", "b", ST, KHB)]))[1]]
         assert codes == ["FORBIDDEN_LABEL_PAIR"]
 
     def test_double_knotted_hole_ball(self):
-        codes = [c for c, _ in tree_violations(
-            raw_tree(["a", "b"], [("a", "b", KHB, KHB)]))]
+        codes = [c for c, _ in _parse_tree(
+            raw_tree(["a", "b"], [("a", "b", KHB, KHB)]))[1]]
         assert codes == ["FORBIDDEN_LABEL_PAIR"]
 
     def test_all_other_edge(self):
-        codes = [c for c, _ in tree_violations(
-            raw_tree(["a", "b"], [("a", "b", OTHER, OTHER)]))]
+        codes = [c for c, _ in _parse_tree(
+            raw_tree(["a", "b"], [("a", "b", OTHER, OTHER)]))[1]]
         assert codes == ["FORBIDDEN_LABEL_PAIR"]
 
     def test_missing_label(self):
         raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
         del raw["edges"][0]["label_beyond_v"]
-        codes = [c for c, _ in tree_violations(raw)]
+        codes = [c for c, _ in _parse_tree(raw)[1]]
         assert codes == ["UNLABELED_EDGE"]
 
     def test_cycle_rejected(self):
         raw = raw_tree(["a", "b", "c"],
                        [("a", "b", ST, OTHER), ("b", "c", ST, OTHER),
                         ("c", "a", ST, OTHER)])
-        assert any(c == "NOT_A_TREE" for c, _ in tree_violations(raw))
+        assert any(c == "NOT_A_TREE" for c, _ in _parse_tree(raw)[1])
 
     def test_disconnected_rejected(self):
         raw = raw_tree(["a", "b", "c", "d"],
@@ -105,7 +105,7 @@ class TestValidateTree:
                     "label_beyond_v": "other"}]},
     ])
     def test_non_tree_shapes_are_invalid_input(self, raw):
-        codes = [c for c, _ in tree_violations(raw)]
+        codes = [c for c, _ in _parse_tree(raw)[1]]
         assert "INVALID_INPUT" in codes
         with pytest.raises(TreeValidationError):
             validate_tree(raw)
@@ -205,9 +205,7 @@ class TestQuotient:
     def test_path_cover_quotients_to_one_edge(self):
         tree = quotient(path_cover())
         assert set(tree.vertices) == {"a", "b1"}
-        (edge,) = tree.edges
-        assert edge.label_away_from("a") is KHB
-        assert edge.label_away_from("b1") is OTHER
+        assert tree.edges == (TreeEdge("a", "b1", KHB, OTHER),)
 
     def test_identity_quotient(self):
         spec = CoverSpec(

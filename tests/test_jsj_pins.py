@@ -1,11 +1,12 @@
 """Pins on the JSJ layer: generator streams, violation lists and CLI stdout.
 
 The SHA-256 digests below were recorded from the two-pass tree parser
-(`tree_violations` walking the raw dict, then `validate_tree` walking it
-again) that the single parser replaced, and from the generators before
-their constants moved to module level.  They pin, byte for byte, the trees
-and covers every seed yields, the violation list of every malformed tree in
-a fixed corpus, and what `projlink jsj` prints on valid and invalid inputs.
+(one walk of the raw dict listing its violations, then `validate_tree`
+walking it again) that the single parser replaced, and from the generators
+before their constants moved to module level.  They pin, byte for byte,
+the trees and covers every seed yields, the violation list of every
+malformed tree in a fixed corpus, and what `projlink jsj` prints on valid
+and invalid inputs.
 The generator-state digest was recorded from the cover generator that kept
 a separate visited set and index counter in its breadth-first walk.
 """
@@ -28,10 +29,10 @@ from projlink.jsj import (
     RegionLabel,
     TreeEdge,
     TreeValidationError,
+    _parse_tree,
     cover_to_dict,
     quotient,
     tree_to_dict,
-    tree_violations,
 )
 
 ST, OTHER = RegionLabel.SOLID_TORUS, RegionLabel.OTHER
@@ -219,7 +220,7 @@ def malformed_corpus() -> list[dict]:
 def violations_digest() -> str:
     digest = hashlib.sha256()
     for raw in malformed_corpus():
-        digest.update(_canonical_json(tree_violations(raw)) + b"\n")
+        digest.update(_canonical_json(_parse_tree(raw)[1]) + b"\n")
     return digest.hexdigest()
 
 
@@ -270,7 +271,7 @@ def test_violation_lists_are_unchanged():
 
 
 def test_hand_corpus_violations():
-    got = [tree_violations(raw) for raw in HAND_CORPUS]
+    got = [_parse_tree(raw)[1] for raw in HAND_CORPUS]
     assert got[0] == [("NOT_A_TREE", "no vertices")]
     assert got[7] == [("NOT_A_TREE", "bad edge endpoints 'zz'-['a']")]
     assert got[8] == [("UNLABELED_EDGE", "edge 'a'-'b' lacks labels")]

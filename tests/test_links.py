@@ -16,7 +16,8 @@ from projlink.links import (
     SpaceMismatch,
     TorusLink,
     WrongSpace,
-    applicable_relations,
+    _MOVES,
+    _move,
     apply_relation,
     chain_from_list,
     chain_to_list,
@@ -91,24 +92,22 @@ class TestComponentCount:
 
 class TestApplicability:
     def test_dividing_p_enables_r3(self):
-        assert (Relation.R3, Direction.FORWARD) in applicable_relations(
-            make_link(S3, 2, 2, 0))
+        assert _move(S3, Relation.R3, Direction.FORWARD, 2, 2, 0) == (1, 1, 1)
 
     def test_degenerate_triple_has_only_involutions(self):
-        assert applicable_relations(make_link(S3, 0, 0, 0)) == [
+        assert [m for m in _MOVES if _move(S3, *m, 0, 0, 0) is not None] == [
             (Relation.R1, Direction.FORWARD),
             (Relation.R2, Direction.FORWARD),
         ]
 
     def test_rp3_handlebody_swap(self):
         link = make_link(RP3, 1, 3, 0)
-        assert (Relation.R2, Direction.FORWARD) in applicable_relations(link)
+        assert _move(RP3, Relation.R2, Direction.FORWARD, 1, 3, 0) == (5, 3, 0)
         step = apply_relation(link, Relation.R2)
         assert step.after == make_link(RP3, 5, 3, 0)
 
     def test_no_swap_with_one_core(self):
-        rels = applicable_relations(make_link(S3, 3, 2, 1))
-        assert (Relation.R2, Direction.FORWARD) not in rels
+        assert _move(S3, Relation.R2, Direction.FORWARD, 3, 2, 1) is None
 
 
 class TestApplyRelation:
@@ -130,13 +129,13 @@ class TestApplyRelation:
 
     @given(triples | big_triples())
     def test_backward_inverts_forward(self, link):
-        for rel, direction in applicable_relations(link):
-            if direction is not Direction.FORWARD or rel in (
-                    Relation.R1, Relation.R2):
+        space, p, q, n = link
+        for rel in (Relation.R3, Relation.R4):
+            if _move(space, rel, Direction.FORWARD, p, q, n) is None:
                 continue
-            step = apply_relation(link, rel, direction)
-            rels_back = applicable_relations(step.after)
-            assert (rel, Direction.BACKWARD) in rels_back
+            step = apply_relation(link, rel)
+            _, ap, aq, an = step.after
+            assert _move(space, rel, Direction.BACKWARD, ap, aq, an) is not None
             # The backward map may pick a different canonical preimage only
             # at the degenerate triples (0,0;1) and (0,0;2).
             back = apply_relation(step.after, rel, Direction.BACKWARD)
@@ -145,8 +144,9 @@ class TestApplyRelation:
 
     @given(triples | big_triples())
     def test_forward_inverts_backward(self, link):
+        space, p, q, n = link
         for rel in (Relation.R3, Relation.R4):
-            if (rel, Direction.BACKWARD) not in applicable_relations(link):
+            if _move(space, rel, Direction.BACKWARD, p, q, n) is None:
                 continue
             back = apply_relation(link, rel, Direction.BACKWARD)
             assert apply_relation(back.after, rel).after == link
@@ -169,8 +169,8 @@ def test_every_move_at_bound_40_is_unchanged(space):
         for q in range(-40, 41):
             for n in (0, 1, 2):
                 link = TorusLink(space, p, q, n)
-                listed = " ".join(f"{r.value}{d.value}"
-                                  for r, d in applicable_relations(link))
+                listed = " ".join(f"{r.value}{d.value}" for r, d in _MOVES
+                                  if _move(space, r, d, p, q, n) is not None)
                 images = []
                 for relation in Relation:
                     for direction in Direction:
@@ -278,7 +278,9 @@ class TestLift:
     @given(st.builds(make_link, st.just(RP3), coeffs, coeffs, st.integers(0, 2)))
     @settings(max_examples=200)
     def test_relations_lift_to_isotopies(self, link):
-        for rel, direction in applicable_relations(link):
+        for rel, direction in _MOVES:
+            if _move(RP3, rel, direction, link.p, link.q, link.n) is None:
+                continue
             step = apply_relation(link, rel, direction)
             ok, _ = isotopic(lift(step.before), lift(step.after))
             assert ok, (link, rel, direction)

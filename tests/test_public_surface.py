@@ -1,0 +1,64 @@
+"""The public surface of every module, listed name by name.
+
+A public name is a function or class a module defines without a leading
+underscore, and a public method or property of such a class.  A name that
+only tests would call is not added; tests reach the code the CLI runs
+instead.  The wire readers (`link_from_dict`, `step_from_dict`,
+`chain_from_list`) and `verify_chain` are kept for a command that replays
+printed witness chains.
+"""
+
+import inspect
+
+from projlink import atlas, cli, generators, jsj, links
+from projlink.atlas import Atlas
+from projlink.jsj import JsjTree
+
+SURFACE = {
+    links: {
+        "AmbientSpace", "CalculusError", "Classification", "ClassificationKind",
+        "Direction", "InvalidInput", "InvalidN", "NotApplicable", "Relation",
+        "RelationStep", "SpaceMismatch", "TorusLink", "WitnessChain", "WrongSpace",
+        "apply_relation", "canonical", "chain_from_list", "chain_to_list", "classify",
+        "component_count", "isotopic", "lift", "link_from_dict", "link_to_dict",
+        "make_link", "normal_form", "step_from_dict", "step_to_dict", "verify_chain",
+    },
+    atlas: {
+        "Atlas", "Atlas.to_dict", "Atlas.to_json",
+        "VerificationReport", "VerificationReport.ok", "VerificationReport.to_dict",
+        "confluence_audit", "enumerate_classes", "relation_lift_compatibility",
+        "verify_lift_injectivity",
+    },
+    jsj: {
+        "CoverCheckEntry", "CoverSpec", "Geometry", "JsjTree", "JsjTree.adjacency",
+        "RegionLabel", "TreeEdge", "TreeValidationError", "cover_from_dict",
+        "cover_to_dict", "edge_orientation", "lemma44_check", "outermost", "potential",
+        "quotient", "tree_to_dict", "validate_tree",
+    },
+    generators: {"random_cover_spec", "random_jsj_tree"},
+    cli: {"main"},
+}
+
+
+def public_names(module) -> set[str]:
+    names = set()
+    for attr, obj in vars(module).items():
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            names.add(attr)
+        elif inspect.isclass(obj):
+            names.add(attr)
+            names |= {f"{attr}.{name}" for name, member in vars(obj).items()
+                      if not name.startswith("_")
+                      and (inspect.isfunction(member) or isinstance(member, property))}
+    return names
+
+
+def test_public_surface_is_exactly_the_listed_names():
+    for module, names in SURFACE.items():
+        assert public_names(module) == names, module.__name__
+    # perfbench/tracer.py replaces these two methods through vars(cls)[name],
+    # so every traced benchmark run needs them on the classes themselves.
+    assert "to_dict" in vars(Atlas)
+    assert "adjacency" in vars(JsjTree)
