@@ -79,7 +79,7 @@ class InvalidN(CalculusError):
 
 
 class InvalidInput(InvalidN):
-    """A coefficient or n that is not an integer, or a malformed wire triple or chain.
+    """A coefficient or n that is not an integer.
 
     It derives from InvalidN, which callers caught for any bad triple before
     this class existed, so those handlers still see it.
@@ -178,9 +178,7 @@ def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
 
 def component_count(link: TorusLink) -> int:
     """Number of components: gcd(|p|, |q|) parallel copies plus n cores."""
-    if link.p == 0 and link.q == 0:
-        return link.n
-    return gcd(abs(link.p), abs(link.q)) + link.n
+    return gcd(link.p, link.q) + link.n
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +436,6 @@ def link_to_dict(link: TorusLink) -> dict:
     return {"space": link.space._value_, "p": link.p, "q": link.q, "n": link.n}
 
 
-def link_from_dict(data: dict) -> TorusLink:
-    try:
-        space = AmbientSpace(data["space"])
-        return make_link(space, data["p"], data["q"], data["n"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidInput(f"malformed triple {data!r}") from exc
-
-
 def step_to_dict(step: RelationStep) -> dict:
     return {
         "relation": step.relation._value_,
@@ -455,20 +445,6 @@ def step_to_dict(step: RelationStep) -> dict:
     }
 
 
-def step_from_dict(data: dict) -> RelationStep:
-    try:
-        return RelationStep(Relation(data["relation"]), Direction(data["direction"]),
-                            link_from_dict(data["before"]), link_from_dict(data["after"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidInput(f"malformed witness step {data!r}") from exc
-
-
 def chain_to_list(chain: WitnessChain) -> list[dict]:
     return [step_to_dict(s) for s in chain.steps]
 
-
-def chain_from_list(data: list[dict]) -> WitnessChain:
-    try:
-        return WitnessChain(tuple(step_from_dict(d) for d in data))
-    except TypeError as exc:  # not iterable; a bad step raises InvalidInput
-        raise InvalidInput(f"malformed witness chain {data!r}") from exc

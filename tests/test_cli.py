@@ -45,12 +45,19 @@ class TestCanon:
         assert "INVALID_N" in err
 
     def test_witness_replays_from_json(self, capsys):
-        from projlink.links import chain_from_list, link_from_dict, verify_chain
+        from projlink.links import (AmbientSpace, Direction, Relation, RelationStep,
+                                    TorusLink, WitnessChain, verify_chain)
+
+        def triple(d):
+            return TorusLink(AmbientSpace(d["space"]), d["p"], d["q"], d["n"])
+
         code, out, _ = run(capsys, "canon", "--space", "rp3", "4", "0", "0")
         assert code == 0
-        chain = chain_from_list(out["witness"])
-        assert verify_chain(chain, link_from_dict(out["input"]),
-                            link_from_dict(out["normal_form"]))
+        chain = WitnessChain(tuple(
+            RelationStep(Relation(s["relation"]), Direction(s["direction"]),
+                         triple(s["before"]), triple(s["after"]))
+            for s in out["witness"]))
+        assert verify_chain(chain, triple(out["input"]), triple(out["normal_form"]))
 
 
 class TestIsotopic:

@@ -57,8 +57,8 @@ HOT_FUNCTIONS = [
     (atlas, "_closure_roots"), (atlas, "verify_lift_injectivity"),
     (atlas, "relation_lift_compatibility"),
     (jsj, "_allowed_pair"), (jsj, "_parse_tree"), (jsj, "edge_orientation"),
-    (jsj, "potential"), (jsj, "outermost"), (jsj, "_quotient_violations"),
-    (jsj, "_involution_violations"), (jsj, "quotient"), (jsj, "lemma44_check"),
+    (jsj, "potential"), (jsj, "outermost"), (jsj, "_involution_violations"),
+    (jsj, "quotient"), (jsj, "lemma44_check"),
     (generators, "_pruefer_edges"), (generators, "random_jsj_tree"),
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),

@@ -1,5 +1,6 @@
 """JSJ trees: validation, potentials, outermost pieces, covers, quotients."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ from projlink.jsj import (
     RegionLabel,
     TreeEdge,
     TreeValidationError,
+    _involution_violations,
     _parse_tree,
     cover_from_dict,
     cover_to_dict,
@@ -30,6 +32,8 @@ from projlink.jsj import (
 
 ST, KHB, OTHER = (RegionLabel.SOLID_TORUS, RegionLabel.KNOTTED_HOLE_BALL,
                   RegionLabel.OTHER)
+# The label pairs one torus may carry, (beyond u, beyond v).
+ALLOWED_PAIRS = ((ST, ST), (ST, OTHER), (OTHER, ST), (KHB, OTHER), (OTHER, KHB))
 
 
 def local_minima(tree, values):
@@ -41,6 +45,38 @@ def local_minima(tree, values):
         elif values[e.v] > values[e.u]:
             minima.discard(e.v)
     return minima
+
+
+def pruefer_trees(n):
+    """The edges of every labelled tree on range(n), one per Pruefer sequence."""
+    if n == 1:
+        yield []
+        return
+    for seq in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for x in seq:
+            degree[x] += 1
+        edges = []
+        for x in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, x))
+            degree[leaf] -= 1
+            degree[x] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        yield edges
+
+
+def involutions(items):
+    """Every involution of the list `items`, as a dict."""
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    for sigma in involutions(rest):
+        yield {first: first, **sigma}
+    for i, partner in enumerate(rest):
+        for sigma in involutions(rest[:i] + rest[i + 1:]):
+            yield {first: partner, partner: first, **sigma}
 
 
 def raw_tree(vertices, edges):
@@ -90,6 +126,21 @@ class TestValidateTree:
                        [("a", "b", ST, OTHER), ("c", "d", ST, OTHER)])
         with pytest.raises(TreeValidationError):
             validate_tree(raw)
+
+    # The parser reads JSON, which cannot carry an enum member: a member
+    # where a wire value belongs is reported as any other non-wire value is.
+    @pytest.mark.parametrize("label", list(RegionLabel))
+    def test_label_member_is_not_a_wire_value(self, label):
+        raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
+        raw["edges"][0]["label_beyond_u"] = label
+        assert _parse_tree(raw) == (None, [("UNLABELED_EDGE", "edge 'a'-'b' lacks labels")])
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_geometry_member_is_not_a_wire_value(self, geometry):
+        raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
+        raw["vertices"][0]["geometry"] = geometry
+        assert _parse_tree(raw) == (None, [("NOT_A_TREE", "unknown geometry for vertex 'a'"),
+                                           ("NOT_A_TREE", "bad edge endpoints 'a'-'b'")])
 
     @pytest.mark.parametrize("raw", [
         [],
@@ -275,6 +326,32 @@ class TestQuotient:
                                   capture_output=True, text=True, check=True)
             orders.add(proc.stdout)
         assert len(orders) == 1
+
+    def test_quotient_of_every_small_valid_cover_is_a_valid_tree(self):
+        # Every tree on 1-4 vertices, every allowed label pair on each edge and
+        # every involution of the vertex set: 20,311 specs, of which 658 pass
+        # the involution checks.  quotient does not re-check its result.
+        covers = 0
+        for n in range(1, 5):
+            ids = [f"v{i}" for i in range(n)]
+            sigmas = list(involutions(ids))
+            for shape in pruefer_trees(n):
+                for labels in itertools.product(ALLOWED_PAIRS, repeat=len(shape)):
+                    tree = validate_tree(raw_tree(ids, [
+                        (ids[u], ids[v], lu, lv) for (u, v), (lu, lv) in zip(shape, labels)]))
+                    for sigma in sigmas:
+                        spec = CoverSpec(tree, sigma)
+                        if _involution_violations(spec):
+                            continue
+                        covers += 1
+                        assert _parse_tree(tree_to_dict(quotient(spec)))[1] == []
+        assert covers == 658
+
+    def test_quotient_of_random_covers_is_a_valid_tree(self):
+        rng = random.Random(13)
+        for size in range(1, 121):
+            spec = random_cover_spec(rng, size, move_bias=rng.random())
+            assert _parse_tree(tree_to_dict(quotient(spec)))[1] == []
 
 
 class TestLemma44:

@@ -22,20 +22,8 @@ import pytest
 
 from projlink.cli import main
 from projlink.generators import random_cover_spec, random_jsj_tree
-from projlink.jsj import (
-    CoverSpec,
-    Geometry,
-    JsjTree,
-    RegionLabel,
-    TreeEdge,
-    TreeValidationError,
-    _parse_tree,
-    cover_to_dict,
-    quotient,
-    tree_to_dict,
-)
+from projlink.jsj import _parse_tree, cover_to_dict, tree_to_dict
 
-ST, OTHER = RegionLabel.SOLID_TORUS, RegionLabel.OTHER
 TREE_SIZES = (0, 1, 2, 3, 7, 30, 200)
 COVER_SIZES = (1, 2, 5, 20, 120)
 MOVE_BIASES = (0.0, 0.5, 1.0)
@@ -284,37 +272,3 @@ def test_hand_corpus_violations():
 
 def test_jsj_stdout_is_unchanged(tmp_path):
     assert cli_digests(tmp_path) == STDOUT_DIGESTS
-
-
-def _hand_cover(ids: str, edges, swap: str = "") -> CoverSpec:
-    """A hand-built cover fixing every vertex but the pair in `swap`."""
-    tree = JsjTree({v: Geometry.SEIFERT for v in ids},
-                   tuple(TreeEdge(u, v, lu, lv) for u, v, lu, lv in edges))
-    vertex_map = {v: v for v in ids}
-    if swap:
-        vertex_map[swap[0]], vertex_map[swap[1]] = swap[1], swap[0]
-    return CoverSpec(tree, vertex_map)
-
-
-# Hand-built covers the wire parser would reject, so that only the check of
-# the quotient catches them.
-@pytest.mark.parametrize("spec, detail", [
-    (_hand_cover("ab", [("a", "b", OTHER, OTHER)]),
-     "FORBIDDEN_LABEL_PAIR: edge 'a'-'b' carries (other, other)"),
-    (_hand_cover("ab", []), "NOT_A_TREE: 2 vertices need 1 edges, got 0"),
-    (_hand_cover("abc", [("a", "b", ST, OTHER), ("b", "c", ST, OTHER),
-                             ("c", "a", ST, OTHER)]),
-     "NOT_A_TREE: 3 vertices need 2 edges, got 3"),
-    (_hand_cover("abcd", [("a", "b", ST, ST), ("b", "c", ST, ST),
-                              ("c", "a", ST, ST)]),
-     "NOT_A_TREE: graph is not connected"),
-    # swapped loops at a and b quotient to a loop at a
-    (_hand_cover("abc", [("a", "a", ST, ST), ("b", "b", ST, ST),
-                             ("a", "c", ST, ST), ("b", "c", ST, ST)], swap="ab"),
-     "NOT_A_TREE: bad edge endpoints 'a'-'a'"),
-])
-def test_invalid_quotient_violations(spec, detail):
-    with pytest.raises(TreeValidationError) as err:
-        quotient(spec)
-    assert err.value.violations == [
-        ("INVALID_INVOLUTION", f"quotient is invalid ({detail})")]

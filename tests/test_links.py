@@ -19,15 +19,11 @@ from projlink.links import (
     _MOVES,
     _move,
     apply_relation,
-    chain_from_list,
-    chain_to_list,
     classify,
     ClassificationKind,
     component_count,
     isotopic,
     lift,
-    link_from_dict,
-    link_to_dict,
     make_link,
     normal_form,
     verify_chain,
@@ -307,22 +303,6 @@ class TestClassify:
         assert classify(link).kind == classify(nf).kind
 
 
-class TestSerialization:
-    @given(triples)
-    def test_link_roundtrip(self, link):
-        assert link_from_dict(link_to_dict(link)) == link
-
-    def test_chain_roundtrip(self):
-        _, chain = normal_form(make_link(RP3, 4, 0, 0))
-        assert chain_from_list(chain_to_list(chain)) == chain
-
-
-# A well-formed witness step, R1 on T(1, 2; 0) in S^3.
-STEP = {"relation": "R1", "direction": "fwd",
-        "before": {"space": "s3", "p": 1, "q": 2, "n": 0},
-        "after": {"space": "s3", "p": -1, "q": -2, "n": 0}}
-
-
 class TestInvalidInput:
     @pytest.mark.parametrize("args", [(1.5, 1, 0), (1, "1", 0), (1, 1, True), (1, 1, 0.0)])
     def test_non_integer_is_invalid_input(self, args):
@@ -335,21 +315,3 @@ class TestInvalidInput:
             make_link(S3, 1, 1, 3)
         assert not isinstance(exc.value, InvalidInput)
         assert exc.value.code == "INVALID_N"
-
-    @pytest.mark.parametrize("data", [
-        None, [], "s3", {"space": "s3", "p": 1}, {"space": "t3", "p": 1, "q": 1, "n": 0},
-        {"space": ["s3"], "p": 1, "q": 1, "n": 0}, {"space": "s3", "p": 1.0, "q": 1, "n": 0},
-    ])
-    def test_malformed_wire_triple(self, data):
-        with pytest.raises(InvalidInput):
-            link_from_dict(data)
-
-    @pytest.mark.parametrize("data", [
-        [{**STEP, "relation": "R9"}], [{**STEP, "direction": "up"}], [{}],
-        [{k: v for k, v in STEP.items() if k != "after"}], [{**STEP, "before": {"space": "s3"}}],
-        ["x"], [5], [None], [[]], 5, None,
-    ])
-    def test_malformed_witness_chain(self, data):
-        with pytest.raises(InvalidInput) as exc:
-            chain_from_list(data)
-        assert exc.value.code == "INVALID_INPUT"

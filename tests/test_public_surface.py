@@ -3,13 +3,18 @@
 A public name is a function or class a module defines without a leading
 underscore, and a public method or property of such a class.  A name that
 only tests would call is not added; tests reach the code the CLI runs
-instead.  The wire readers (`link_from_dict`, `step_from_dict`,
-`chain_from_list`) and `verify_chain` are kept for a command that replays
-printed witness chains.
+instead.  `verify_chain` is kept although only tests call it: it is the
+trusted replay of the witness chains the CLI prints, the one every chain
+test checks against.  The CLI reads no triple or chain from JSON, so no
+wire reader is kept; a command that reads one adds its reader with it.
+No module of the package holds an `assert` statement either.
 """
 
+import ast
 import inspect
+import pathlib
 
+import projlink
 from projlink import atlas, cli, generators, jsj, links
 from projlink.atlas import Atlas
 from projlink.jsj import JsjTree
@@ -19,9 +24,9 @@ SURFACE = {
         "AmbientSpace", "CalculusError", "Classification", "ClassificationKind",
         "Direction", "InvalidInput", "InvalidN", "NotApplicable", "Relation",
         "RelationStep", "SpaceMismatch", "TorusLink", "WitnessChain", "WrongSpace",
-        "apply_relation", "canonical", "chain_from_list", "chain_to_list", "classify",
-        "component_count", "isotopic", "lift", "link_from_dict", "link_to_dict",
-        "make_link", "normal_form", "step_from_dict", "step_to_dict", "verify_chain",
+        "apply_relation", "canonical", "chain_to_list", "classify", "component_count",
+        "isotopic", "lift", "link_to_dict", "make_link", "normal_form", "step_to_dict",
+        "verify_chain",
     },
     atlas: {
         "Atlas", "Atlas.to_dict", "Atlas.to_json",
@@ -62,3 +67,11 @@ def test_public_surface_is_exactly_the_listed_names():
     # so every traced benchmark run needs them on the classes themselves.
     assert "to_dict" in vars(Atlas)
     assert "adjacency" in vars(JsjTree)
+
+
+def test_no_module_asserts():
+    # python -O strips assert statements, so no invariant may rest on one.
+    for path in sorted(pathlib.Path(projlink.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], path.name
