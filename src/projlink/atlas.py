@@ -9,6 +9,7 @@ injectivity on classes.  Every scan runs on plain (p, q, n) triples in
 lexicographic order; `TorusLink`s are built only for atlas members and for
 the violations a verifier reports.  `Atlas` and `VerificationReport` are
 named tuples; a report built without `notes` has None there.
+`Atlas.write_json` writes its document in blocks, never holding all of it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .links import (
 )
 
 
+_BLOCK = 1 << 16  # least characters per write; unbuffered, each write is a syscall
+
+
 class Atlas(namedtuple("Atlas", "space bound classes")):
     __slots__ = ()  # classes: normal form -> members, in normal-form order
 
@@ -48,24 +52,31 @@ class Atlas(namedtuple("Atlas", "space bound classes")):
             ],
         }
 
-    def to_json(self) -> str:
-        """The text of json.dumps(self.to_dict(), sort_keys=True, indent=2).
+    def write_json(self, out) -> None:
+        """Write the text of json.dumps(self.to_dict(), sort_keys=True, indent=2).
 
         json's C encoder does not indent, so the text is written directly,
-        with one template for every link record, indented by `i`.
+        with one template for every link record, indented by `i`; a block of
+        whole classes is written once it reaches _BLOCK characters.
         """
         space = self.space.value
         record = '{{\n{i}  "n": %d,\n{i}  "p": %d,\n{i}  "q": %d,\n{i}  "space": "{s}"\n{i}}}'
         member = record.format(i=" " * 8, s=space)
         normal_form = record.format(i=" " * 6, s=space)
-        classes = ",\n".join(
-            '    {\n      "members": [\n        '
-            + ",\n        ".join([member % (m.n, m.p, m.q) for m in members])
-            + '\n      ],\n      "normal_form": '
-            + normal_form % (key.n, key.p, key.q) + "\n    }"
-            for key, members in self.classes.items())
-        return (f'{{\n  "bound": {self.bound},\n  "classes": [\n{classes}\n  ],\n'
-                f'  "space": "{space}"\n}}')
+        block = [f'{{\n  "bound": {self.bound},\n  "classes": [\n']
+        size = len(block[0])
+        for i, (key, members) in enumerate(self.classes.items()):
+            text = ((",\n    {" if i else "    {") + '\n      "members": [\n        '
+                    + ",\n        ".join([member % (m.n, m.p, m.q) for m in members])
+                    + '\n      ],\n      "normal_form": '
+                    + normal_form % (key.n, key.p, key.q) + "\n    }")
+            block.append(text)
+            size += len(text)
+            if size >= _BLOCK:
+                out.write("".join(block))
+                block, size = [], 0
+        block.append(f'\n  ],\n  "space": "{space}"\n}}')
+        out.write("".join(block))
 
 
 class VerificationReport(namedtuple(

@@ -3,14 +3,15 @@
 One JSON document per invocation on stdout (keys sorted, no timing data);
 diagnostics, including elapsed times, go to stderr.  Exit codes: 0 for
 success or a property that holds, 1 for a refuted property or a validation
-failure, 2 for usage errors and for a command that runs out of memory or
-whose --bound is too large to index.
+failure, 2 for usage errors, for a command that runs out of memory or
+whose --bound is too large to index, and for a stdout it cannot write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .links import (
@@ -123,7 +124,8 @@ def _cmd_atlas(args) -> int:
 
     if args.bound < 0:
         raise CalculusError(f"--bound must be >= 0, got {args.bound}")
-    print(atlas.enumerate_classes(AmbientSpace(args.space), args.bound).to_json())
+    atlas.enumerate_classes(AmbientSpace(args.space), args.bound).write_json(sys.stdout)
+    sys.stdout.write("\n")
     return 0
 
 
@@ -202,7 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         "jsj": _cmd_jsj,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except CalculusError as exc:
         print(f"projlink: {exc.code}: {exc}", file=sys.stderr)
         return 2
@@ -212,6 +216,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MemoryError, OverflowError):
         print("projlink: OUT_OF_MEMORY: not enough memory for this command",
               file=sys.stderr)
+        return 2
+    # Stdout is a closed pipe or full; devnull takes the rest, so exit is quiet.
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"projlink: OUTPUT_ERROR: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

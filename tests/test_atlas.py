@@ -1,8 +1,10 @@
 """Atlas enumeration, the union-find cross-check, and the lift verifiers."""
 
 import hashlib
+import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +27,12 @@ RP3 = AmbientSpace.RP3
 
 def as_triples(links):
     return frozenset((t.p, t.q, t.n) for t in links)
+
+
+def json_text(atlas) -> str:
+    out = io.StringIO()
+    atlas.write_json(out)
+    return out.getvalue()
 
 
 class TestEnumerateClasses:
@@ -77,10 +85,42 @@ class TestEnumerateClasses:
         assert a == b
 
     @pytest.mark.parametrize("space", [S3, RP3])
-    def test_to_json_is_the_indented_dump_of_to_dict(self, space):
+    def test_write_json_is_the_indented_dump(self, space):
         for bound in range(16):
             atlas = enumerate_classes(space, bound)
-            assert atlas.to_json() == json.dumps(atlas.to_dict(), sort_keys=True, indent=2)
+            assert json_text(atlas) == json.dumps(atlas.to_dict(), sort_keys=True, indent=2)
+
+    def test_write_json_writes_blocks_of_whole_classes(self):
+        class Recorder(list):
+            write = list.append
+
+        atlas = enumerate_classes(RP3, 25)
+        writes = Recorder()
+        atlas.write_json(writes)
+        assert "".join(writes) == json_text(atlas)
+        # One class's text in the document: its dump indented by four more
+        # spaces per line, and the ",\n" before it.
+        longest = max(
+            len(text) + 4 * (text.count("\n") + 1) + 2
+            for text in (json.dumps(entry, sort_keys=True, indent=2)
+                         for entry in atlas.to_dict()["classes"]))
+        assert len(writes) >= 10
+        assert max(map(len, writes)) <= 64 * 1024 + longest
+        assert min(map(len, writes[:-1])) >= 64 * 1024  # not a write per class
+
+    def test_write_json_never_holds_the_whole_text(self):
+        class Sink:
+            def write(self, text):
+                pass
+
+        atlas = enumerate_classes(RP3, 25)  # about 1.2 MB of text
+        tracemalloc.start()
+        try:
+            atlas.write_json(Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -306,8 +346,8 @@ def test_seeded_fault_reports_are_unchanged(monkeypatch, bound):
         "confluence_rp3": confluence_audit(RP3, bound).to_dict(),
         "lift_injectivity": verify_lift_injectivity(bound).to_dict(),
         "relation_lift": relation_lift_compatibility(bound).to_dict(),
-        "atlas_s3": enumerate_classes(S3, bound).to_json(),
-        "atlas_rp3": enumerate_classes(RP3, bound).to_json(),
+        "atlas_s3": json_text(enumerate_classes(S3, bound)),
+        "atlas_rp3": json_text(enumerate_classes(RP3, bound)),
     }
     text = json.dumps(outputs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[bound]

@@ -8,6 +8,9 @@ byte.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +175,20 @@ def _stdout(*argv) -> bytes:
 def test_atlas_stdout_is_unchanged(space, bound):
     got = hashlib.sha256(_stdout("atlas", "--space", space, "--bound", bound))
     assert got.hexdigest() == STDOUT_DIGESTS[f"atlas {space} {bound}"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_atlas_stdout_of_a_process_is_unchanged(unbuffered):
+    # The tests above write into a StringIO; this one goes through the
+    # interpreter's own stdout, a pipe, with and without its buffer.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(links.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "projlink.cli", "atlas", "--space", "rp3", "--bound", "25"],
+        capture_output=True, check=True, timeout=120, env=env)
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_DIGESTS["atlas rp3 25"]
 
 
 @pytest.mark.parametrize("space", ["s3", "rp3"])

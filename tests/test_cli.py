@@ -364,6 +364,57 @@ def test_out_of_memory_is_exit_2_with_one_line_and_no_traceback(command, bound):
         "projlink: OUT_OF_MEMORY: not enough memory for this command"]
 
 
+ATLAS_25 = ["atlas", "--space", "s3", "--bound", "25"]
+# Buffered, an unwritable stdout fails at main's flush and would fail again
+# at the interpreter's flush at exit; unbuffered, it fails at a write.
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+
+
+def _process_env(unbuffered: bool) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(projlink.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@BUFFERING
+def test_closed_stdout_is_exit_2_with_one_line_and_no_traceback(unbuffered):
+    # The reader takes the start of the document and goes away, as
+    # `projlink atlas ... | head -c 100` does.
+    proc = subprocess.Popen([sys.executable, "-m", "projlink.cli", *ATLAS_25],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_process_env(unbuffered))
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert len(head) == 100 and head.startswith(b'{\n  "bound": 25,\n')
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["projlink: OUTPUT_ERROR: cannot write stdout: Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
+@pytest.mark.parametrize("argv", [ATLAS_25, ["canon", "--space", "rp3", "2", "1", "1"]],
+                         ids=["atlas", "canon"])
+def test_full_stdout_is_exit_2_with_one_line_and_no_traceback(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "projlink.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=_process_env(unbuffered))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "projlink: OUTPUT_ERROR: cannot write stdout: No space left on device"]
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,7 @@ SURFACE = {
         "verify_chain",
     },
     atlas: {
-        "Atlas", "Atlas.to_dict", "Atlas.to_json",
+        "Atlas", "Atlas.to_dict", "Atlas.write_json",
         "VerificationReport", "VerificationReport.ok", "VerificationReport.to_dict",
         "confluence_audit", "enumerate_classes", "relation_lift_compatibility",
         "verify_lift_injectivity",
