@@ -195,6 +195,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.kind != "confluence" and args.space is not None:
         parser.error(f"verify {args.kind} runs in RP^3 and takes no --space")
+    # Started with fd 1 closed, the interpreter sets sys.stdout to None.
+    if sys.stdout is None:
+        print("projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed", file=sys.stderr)
+        return 2
     handlers = {
         "canon": _cmd_canon,
         "isotopic": _cmd_isotopic,

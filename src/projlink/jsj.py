@@ -96,13 +96,6 @@ class TreeValidationError(Exception):
         super().__init__("; ".join(f"{c}: {d}" for c, d in violations))
 
 
-def _allowed_pair(lu: RegionLabel, lv: RegionLabel) -> bool:
-    """Whether one torus may carry these labels: exactly one side OTHER
-    (solid torus or knotted hole ball against other), or solid tori on
-    both sides."""
-    return (lu is _OTHER) is not (lv is _OTHER) or lu is lv is _ST
-
-
 def _shape_violations(vertices: dict, pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
     """NOT_A_TREE violations of a graph whose edges join distinct vertices."""
     if not vertices:
@@ -192,7 +185,8 @@ def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
         except (KeyError, TypeError):
             violations.append(("UNLABELED_EDGE", f"edge {u!r}-{v!r} lacks labels"))
             continue
-        if not _allowed_pair(lu, lv):
+        # Allowed: exactly one side OTHER, or solid tori on both sides.
+        if (lu is _OTHER) is (lv is _OTHER) and not (lu is lv is _ST):
             violations.append((
                 "FORBIDDEN_LABEL_PAIR",
                 f"edge {u!r}-{v!r} carries ({lu.value}, {lv.value})"))

@@ -29,8 +29,8 @@ so every positive verdict carries a replayable certificate; callers that
 only compare classes, such as the atlas and its verifiers, use `canonical`
 and build no chains.
 
-The records are named tuples, each equal to the plain tuple of its fields,
-except `WitnessChain`: an immutable class whose length is its step count.
+The records are named tuples, each equal to the plain tuple of its fields.
+A witness chain is the plain tuple of its steps.
 """
 
 from __future__ import annotations
@@ -117,36 +117,6 @@ class RelationStep(namedtuple("RelationStep", "relation direction before after")
     """One application of a relation, with its endpoints."""
 
     __slots__ = ()
-
-
-class WitnessChain:
-    """A composable sequence of relation steps certifying an isotopy."""
-
-    __slots__ = __match_args__ = ("steps",)
-
-    def __init__(self, steps: tuple[RelationStep, ...] = ()):
-        object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"WitnessChain is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    # __setattr__ refuses, so pickle and copy rebuild through the constructor.
-    def __reduce__(self):
-        return WitnessChain, (self.steps,)
-
-    def __eq__(self, other):
-        return self.steps == other.steps if type(other) is WitnessChain else NotImplemented
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"WitnessChain(steps={self.steps!r})"
-
-    def __len__(self):
-        return len(self.steps)
 
 
 class ClassificationKind(Enum):
@@ -261,20 +231,19 @@ def apply_relation(
     return RelationStep(relation, direction, link, TorusLink(link.space, *image))
 
 
-def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
+def verify_chain(chain: tuple[RelationStep, ...], start: TorusLink | None = None,
                  end: TorusLink | None = None) -> bool:
     """Replay every step and check composability and endpoints.
 
     A backward step replays as the forward move from `after` to `before`.
     """
-    steps = chain.steps
-    if not steps:
+    if not chain:
         return start is None or end is None or start == end
-    if start is not None and steps[0].before != start:
+    if start is not None and chain[0].before != start:
         return False
-    if end is not None and steps[-1].after != end:
+    if end is not None and chain[-1].after != end:
         return False
-    for i, step in enumerate(steps):
+    for i, step in enumerate(chain):
         source, target = ((step.before, step.after) if step.direction is _FORWARD
                           else (step.after, step.before))
         try:
@@ -282,7 +251,7 @@ def verify_chain(chain: WitnessChain, start: TorusLink | None = None,
                 return False
         except CalculusError:
             return False
-        if i and steps[i - 1].after != step.before:
+        if i and chain[i - 1].after != step.before:
             return False
     return True
 
@@ -349,7 +318,7 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
     return a, b, n
 
 
-def normal_form(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
+def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     """Canonical representative of the isotopy class, with a move chain.
 
     The representative is `canonical` of the triple; the chain replays the
@@ -361,7 +330,7 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
 # Interactive callers ask about the same triples again and again; scans of
 # the atlas use `canonical` and never reach this cache.
 @lru_cache(maxsize=1 << 16)
-def _normal_form_memo(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
+def _normal_form_memo(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     moves: list[Relation] = []
     canonical(link.space, link.p, link.q, link.n, moves)
     steps = []
@@ -370,10 +339,10 @@ def _normal_form_memo(link: TorusLink) -> tuple[TorusLink, WitnessChain]:
         step = apply_relation(cur, relation)
         steps.append(step)
         cur = step.after
-    return cur, WitnessChain(tuple(steps))
+    return cur, tuple(steps)
 
 
-def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
+def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...] | None]:
     """Decide isotopy via normal forms; a positive verdict carries a chain.
 
     The chain runs a -> normal form -> b and replays successfully.  Negative
@@ -386,10 +355,10 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, WitnessChain | None]:
     if canonical(a.space, a.p, a.q, a.n) != canonical(b.space, b.p, b.q, b.n):
         return False, None
     # b's chain holds forward moves only; run backward, R1 and R2 stay forward.
-    return True, WitnessChain(normal_form(a)[1].steps + tuple(
+    return True, normal_form(a)[1] + tuple(
         RelationStep(s.relation, _FORWARD if s.relation is _R1 or s.relation is _R2
                      else _BACKWARD, s.after, s.before)
-        for s in reversed(normal_form(b)[1].steps)))
+        for s in reversed(normal_form(b)[1]))
 
 
 def _lift(p: int, q: int) -> tuple[int, int]:
@@ -436,15 +405,7 @@ def link_to_dict(link: TorusLink) -> dict:
     return {"space": link.space._value_, "p": link.p, "q": link.q, "n": link.n}
 
 
-def step_to_dict(step: RelationStep) -> dict:
-    return {
-        "relation": step.relation._value_,
-        "direction": step.direction._value_,
-        "before": link_to_dict(step.before),
-        "after": link_to_dict(step.after),
-    }
-
-
-def chain_to_list(chain: WitnessChain) -> list[dict]:
-    return [step_to_dict(s) for s in chain.steps]
-
+def chain_to_list(chain: tuple[RelationStep, ...]) -> list[dict]:
+    return [{"relation": relation._value_, "direction": direction._value_,
+             "before": link_to_dict(before), "after": link_to_dict(after)}
+            for relation, direction, before, after in chain]

@@ -1,8 +1,10 @@
 """Atlas enumeration, the union-find cross-check, and the lift verifiers."""
 
+import ast
 import hashlib
 import io
 import json
+import pathlib
 import random
 import tracemalloc
 
@@ -157,6 +159,19 @@ class TestClosurePartition:
                 classes.setdefault(root, set()).add(t)
             assert set(map(frozenset, classes.values())) == \
                 set(closure_classes(space.value, bound)), bound
+
+    def test_oracle_imports_nothing_from_the_package(self):
+        # The oracle is an independent witness only while it shares no code.
+        path = pathlib.Path(__file__).with_name("closure_oracle.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        # A relative import starts with ".", so its first part is "".
+        assert {name for name in imported if name.split(".")[0] in ("projlink", "")} == set()
 
 
 class TestConfluenceAudit:

@@ -53,12 +53,12 @@ def test_canonical_is_the_end_of_every_chain_at_bound_60(space):
                 nf, chain = normal_form(link)
                 assert canonical(space, p, q, n) == (nf.p, nf.q, nf.n)
                 assert verify_chain(chain, link, nf)
-                reductions = [s for s in chain.steps
+                reductions = [s for s in chain
                               if s.relation in (Relation.R3, Relation.R4)]
                 assert len(reductions) <= 2
                 steps = " ".join(
                     f"{s.relation.value}{s.direction.value}:"
-                    f"{s.after.p},{s.after.q},{s.after.n}" for s in chain.steps)
+                    f"{s.after.p},{s.after.q},{s.after.n}" for s in chain)
                 digest.update(f"{p},{q},{n} {nf.p},{nf.q},{nf.n} {steps}\n".encode())
     assert digest.hexdigest() == CHAIN_DIGESTS_BOUND_60[space]
 
@@ -68,7 +68,7 @@ def test_moves_replay_to_the_chain():
     moves: list = []
     assert canonical(RP3, 3, 3, 0, moves) == (-1, -1, 2)
     _, chain = normal_form(link)
-    assert moves == [s.relation for s in chain.steps]
+    assert moves == [s.relation for s in chain]
 
 
 @pytest.mark.parametrize("space", [S3, RP3])
@@ -116,7 +116,7 @@ def test_large_chains_replay_and_keep_component_count(link):
     assert canonical(link.space, link.p, link.q, link.n) == (nf.p, nf.q, nf.n)
     assert verify_chain(chain, link, nf)
     assert component_count(nf) == component_count(link)
-    for step in chain.steps:
+    for step in chain:
         assert component_count(step.before) == component_count(step.after)
 
 

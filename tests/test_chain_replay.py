@@ -19,7 +19,6 @@ from projlink.links import (
     Relation,
     RelationStep,
     TorusLink,
-    WitnessChain,
     isotopic,
     make_link,
     verify_chain,
@@ -42,11 +41,11 @@ def chain_steps() -> list:
     """isotopic(A, B): R3 fwd, R1, R1, R3 bwd, R2."""
     ok, chain = isotopic(A, B)
     assert ok
-    return list(chain.steps)
+    return list(chain)
 
 
-def one_step(step: RelationStep) -> tuple[WitnessChain, TorusLink, TorusLink]:
-    return WitnessChain((step,)), step.before, step.after
+def one_step(step: RelationStep) -> tuple[tuple[RelationStep], TorusLink, TorusLink]:
+    return (step,), step.before, step.after
 
 
 def test_the_untampered_chain_replays():
@@ -54,7 +53,7 @@ def test_the_untampered_chain_replays():
     assert [(s.relation, s.direction) for s in steps] == [
         (Relation.R3, FWD), (Relation.R1, FWD), (Relation.R1, FWD),
         (Relation.R3, BWD), (Relation.R2, FWD)]
-    assert verify_chain(WitnessChain(tuple(steps)), A, B)
+    assert verify_chain(tuple(steps), A, B)
 
 
 @pytest.mark.parametrize("index,relation", [
@@ -62,7 +61,7 @@ def test_the_untampered_chain_replays():
 def test_wrong_relation_is_rejected(index, relation):
     steps = chain_steps()
     steps[index] = steps[index]._replace(relation=relation)
-    assert not verify_chain(WitnessChain(tuple(steps)), A, B)
+    assert not verify_chain(tuple(steps), A, B)
 
 
 @pytest.mark.parametrize("index", [0, 3])
@@ -70,7 +69,7 @@ def test_flipped_direction_is_rejected(index):
     steps = chain_steps()
     flipped = BWD if steps[index].direction is FWD else FWD
     steps[index] = steps[index]._replace(direction=flipped)
-    assert not verify_chain(WitnessChain(tuple(steps)), A, B)
+    assert not verify_chain(tuple(steps), A, B)
 
 
 @pytest.mark.parametrize("index", [0, 3])
@@ -95,13 +94,13 @@ def test_after_off_by_one_is_rejected(index):
     moved = after._replace(p=after.p + 1)
     steps[index] = steps[index]._replace(after=moved)
     steps[index + 1] = steps[index + 1]._replace(before=moved)
-    assert not verify_chain(WitnessChain(tuple(steps)), A, B)
+    assert not verify_chain(tuple(steps), A, B)
 
 
 def test_after_off_by_one_on_the_last_step_is_rejected():
     step = chain_steps()[-1]
     moved = step.after._replace(q=step.after.q + 1)
-    assert not verify_chain(WitnessChain((step._replace(after=moved),)), step.before, moved)
+    assert not verify_chain((step._replace(after=moved),), step.before, moved)
 
 
 @pytest.mark.parametrize("drop", [1, 2])
@@ -110,12 +109,12 @@ def test_broken_link_between_steps_is_rejected(drop):
     del steps[drop]
     # Every remaining step replays on its own.
     assert all(verify_chain(*one_step(s)) for s in steps)
-    assert not verify_chain(WitnessChain(tuple(steps)), A, B)
-    assert not verify_chain(WitnessChain(tuple(steps)))
+    assert not verify_chain(tuple(steps), A, B)
+    assert not verify_chain(tuple(steps))
 
 
 def test_wrong_start_or_end_is_rejected():
-    chain = WitnessChain(tuple(chain_steps()))
+    chain = tuple(chain_steps())
     assert verify_chain(chain, A) and verify_chain(chain, None, B)
     assert not verify_chain(chain, make_link(S3, 12, 36, 1), B)
     assert not verify_chain(chain, B, B)
@@ -124,7 +123,7 @@ def test_wrong_start_or_end_is_rejected():
 
 
 def test_empty_chain_needs_equal_endpoints():
-    empty = WitnessChain()
+    empty = ()
     assert not verify_chain(empty, A, B)
     assert verify_chain(empty, A, A)
     assert verify_chain(empty, A) and verify_chain(empty, None, B) and verify_chain(empty)
@@ -164,10 +163,10 @@ def isotopic_digest(space: AmbientSpace, bound: int = 6) -> str:
                 digest.update(b"0")
                 continue
             assert verify_chain(chain, a, b)
-            label, steps, end = _corrupt(rng, chain.steps, b)
-            verdict = verify_chain(WitnessChain(steps), a, end)
+            label, steps, end = _corrupt(rng, chain, b)
+            verdict = verify_chain(steps, a, end)
             text = " ".join(f"{s.relation.value}{s.direction.value}:{s.after.p},{s.after.q},"
-                            f"{s.after.n}" for s in chain.steps)
+                            f"{s.after.n}" for s in chain)
             digest.update(f"\n{a.p},{a.q},{a.n} {b.p},{b.q},{b.n} {text} "
                           f"{label} {verdict:d}\n".encode())
     return digest.hexdigest()

@@ -46,17 +46,17 @@ class TestCanon:
 
     def test_witness_replays_from_json(self, capsys):
         from projlink.links import (AmbientSpace, Direction, Relation, RelationStep,
-                                    TorusLink, WitnessChain, verify_chain)
+                                    TorusLink, verify_chain)
 
         def triple(d):
             return TorusLink(AmbientSpace(d["space"]), d["p"], d["q"], d["n"])
 
         code, out, _ = run(capsys, "canon", "--space", "rp3", "4", "0", "0")
         assert code == 0
-        chain = WitnessChain(tuple(
+        chain = tuple(
             RelationStep(Relation(s["relation"]), Direction(s["direction"]),
                          triple(s["before"]), triple(s["after"]))
-            for s in out["witness"]))
+            for s in out["witness"])
         assert verify_chain(chain, triple(out["input"]), triple(out["normal_form"]))
 
 
@@ -413,6 +413,20 @@ def test_full_stdout_is_exit_2_with_one_line_and_no_traceback(argv, unbuffered):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "projlink: OUTPUT_ERROR: cannot write stdout: No space left on device"]
+
+
+@pytest.mark.parametrize("argv", [["atlas", "--space", "s3", "--bound", "2"],
+                                  ["canon", "--space", "s3", "2", "3", "0"]],
+                         ids=["atlas", "canon"])
+def test_no_stdout_is_exit_2_with_one_line_and_no_traceback(argv):
+    # As `projlink canon ... 1>&-` starts it: the interpreter sets sys.stdout to None.
+    proc = subprocess.run([sys.executable, "-m", "projlink.cli", *argv],
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1), env=_process_env(False))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed"]
 
 
 class TestUsage:

@@ -56,15 +56,15 @@ HOT_FUNCTIONS = [
     (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "canonical"),
     (atlas, "_closure_roots"), (atlas, "verify_lift_injectivity"),
     (atlas, "relation_lift_compatibility"),
-    (jsj, "_allowed_pair"), (jsj, "_parse_tree"), (jsj, "edge_orientation"),
+    (jsj, "_parse_tree"), (jsj, "edge_orientation"),
     (jsj, "potential"), (jsj, "outermost"), (jsj, "_involution_violations"),
     (jsj, "quotient"), (jsj, "lemma44_check"),
     (generators, "_pruefer_edges"), (generators, "random_jsj_tree"),
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),
-    (links, "link_to_dict"), (links, "step_to_dict"), (jsj, "tree_to_dict"),
+    (links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict"),
 ]
-ENCODERS = [(links, "link_to_dict"), (links, "step_to_dict"), (jsj, "tree_to_dict")]
+ENCODERS = [(links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict")]
 
 
 def _loads(code: types.CodeType, opnames: tuple[str, ...]) -> set[str]:

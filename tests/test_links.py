@@ -212,7 +212,7 @@ class TestNormalForm:
     def test_component_count_is_invariant(self, link):
         nf, chain = normal_form(link)
         assert component_count(nf) == component_count(link)
-        for step in chain.steps:
+        for step in chain:
             assert component_count(step.before) == component_count(step.after)
 
     @given(triples)

@@ -23,9 +23,9 @@ SURFACE = {
     links: {
         "AmbientSpace", "CalculusError", "Classification", "ClassificationKind",
         "Direction", "InvalidInput", "InvalidN", "NotApplicable", "Relation",
-        "RelationStep", "SpaceMismatch", "TorusLink", "WitnessChain", "WrongSpace",
+        "RelationStep", "SpaceMismatch", "TorusLink", "WrongSpace",
         "apply_relation", "canonical", "chain_to_list", "classify", "component_count",
-        "isotopic", "lift", "link_to_dict", "make_link", "normal_form", "step_to_dict",
+        "isotopic", "lift", "link_to_dict", "make_link", "normal_form",
         "verify_chain",
     },
     atlas: {

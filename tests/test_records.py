@@ -1,4 +1,4 @@
-"""What callers see of the ten record types: repr, equality, hash, immutability.
+"""What callers see of the nine record types: repr, equality, hash, immutability.
 
 These pins hold for any implementation of the records.  The import guard at
 the end keeps the start-up cost of `dataclasses`, of the `inspect` it
@@ -37,8 +37,8 @@ from projlink.links import (
     Relation,
     RelationStep,
     TorusLink,
-    WitnessChain,
     _normal_form_memo,
+    isotopic,
     make_link,
     normal_form,
 )
@@ -49,7 +49,6 @@ RP3 = AmbientSpace.RP3
 FIELDS = {
     TorusLink: ("space", "p", "q", "n"),
     RelationStep: ("relation", "direction", "before", "after"),
-    WitnessChain: ("steps",),
     Classification: ("kind", "detail"),
     Atlas: ("space", "bound", "classes"),
     VerificationReport: ("bound", "checked_pairs", "violations", "elapsed", "notes"),
@@ -70,7 +69,6 @@ def sample_args(cls) -> tuple:
     return {
         TorusLink: lambda: (S3, 1, 2, 0),
         RelationStep: lambda: (Relation.R1, Direction.FORWARD, a, b),
-        WitnessChain: lambda: ((RelationStep(Relation.R1, Direction.FORWARD, a, b),),),
         Classification: lambda: (ClassificationKind.EMPTY, "the empty link"),
         Atlas: lambda: (RP3, 0, {TorusLink(RP3, 0, 0, 0): (TorusLink(RP3, 0, 0, 0),)}),
         VerificationReport: lambda: (1, 2, ({"evidence": "x"},), 0.5,
@@ -91,7 +89,6 @@ TREE = ("JsjTree(vertices={'a': <Geometry.SEIFERT: 'seifert'>, 'b': "
 REPRS = {
     TorusLink: "T[s3](1,2;0)",
     RelationStep: STEP,
-    WitnessChain: f"WitnessChain(steps=({STEP},))",
     Classification: "Classification(kind=<ClassificationKind.EMPTY: 'EMPTY'>, "
                     "detail='the empty link')",
     Atlas: "Atlas(space=<AmbientSpace.RP3: 'rp3'>, bound=0, "
@@ -120,10 +117,6 @@ def test_fields_come_in_constructor_order(cls):
 @RECORDS
 def test_repr(cls):
     assert repr(cls(*sample_args(cls))) == REPRS[cls]
-
-
-def test_empty_chain_repr():
-    assert repr(WitnessChain()) == "WitnessChain(steps=())"
 
 
 @RECORDS
@@ -174,10 +167,12 @@ def test_records_survive_pickle_and_copy(cls):
 
 
 def test_chain_length_counts_steps():
-    assert len(WitnessChain()) == 0
-    assert len(WitnessChain(*sample_args(WitnessChain))) == 1
+    # A witness chain is the plain tuple of its steps.
     chain = normal_form(make_link(S3, 2, 2, 0))[1]
-    assert len(chain) == len(chain.steps) >= 2
+    assert type(chain) is tuple and len(chain) >= 2
+    assert all(type(step) is RelationStep for step in chain)
+    ok, chain = isotopic(make_link(S3, 2, 2, 0), make_link(S3, -2, -2, 0))
+    assert ok and type(chain) is tuple and len(chain) >= 1
 
 
 def test_torus_link_is_a_dict_key():
