@@ -27,7 +27,8 @@ shrink |p| + |q|), then the lexicographic minimum over the final orbit.
 `normal_form` replays the moves `canonical` applied into a witness chain,
 so every positive verdict carries a replayable certificate; callers that
 only compare classes, such as the atlas and its verifiers, use `canonical`
-and build no chains.
+and build no chains.  A dict memoises chains, first in first out, and
+`isotopic` reads it, so it reduces each side at most once.
 
 The records are named tuples, each equal to the plain tuple of its fields.
 A witness chain is the plain tuple of its steps.
@@ -35,9 +36,9 @@ A witness chain is the plain tuple of its steps.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 from math import gcd
 
 
@@ -131,13 +132,19 @@ class Classification(namedtuple("Classification", "kind detail")):
 
 _EMPTY, _SEIFERT, _SPLIT = (ClassificationKind.EMPTY, ClassificationKind.SEIFERT_COMPLEMENT,
                             ClassificationKind.NON_SEIFERT_SPLIT)
+_EMPTY_LINK = Classification(_EMPTY, "the empty link")
+_SEIFERT_LINK = Classification(_SEIFERT, "complement admits a Seifert fibration")
+
+# _tuple_new(TorusLink, (space, p, q, n)) is TorusLink(space, p, q, n), built as
+# namedtuple's _make builds it: without the Python-level __new__ frame.
+_tuple_new = tuple.__new__
 
 
 def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
     """Build a validated triple; n must be 0, 1 or 2."""
     # One test for the common case; the loop below orders the errors.
     if type(p) is type(q) is type(n) is int and 0 <= n <= 2:
-        return TorusLink(space, p, q, n)
+        return _tuple_new(TorusLink, (space, p, q, n))
     for name, value in (("p", p), ("q", q), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
@@ -228,7 +235,8 @@ def apply_relation(
     if image is None:
         raise NotApplicable(
             f"{relation.value} {direction.value} does not apply to {link!r}")
-    return RelationStep(relation, direction, link, TorusLink(link.space, *image))
+    return _tuple_new(RelationStep, (relation, direction, link,
+                                     _tuple_new(TorusLink, (link.space, *image))))
 
 
 def verify_chain(chain: tuple[RelationStep, ...], start: TorusLink | None = None,
@@ -324,22 +332,36 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     The representative is `canonical` of the triple; the chain replays the
     moves `canonical` applied, one `apply_relation` each.
     """
-    return _normal_form_memo(link)
+    return _MEMO.get(link) or _memoise(link)
 
 
 # Interactive callers ask about the same triples again and again; scans of
-# the atlas use `canonical` and never reach this cache.
-@lru_cache(maxsize=1 << 16)
-def _normal_form_memo(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
-    moves: list[Relation] = []
-    canonical(link.space, link.p, link.q, link.n, moves)
+# the atlas use `canonical` and never reach this memo.  Hits take no lock; two
+# threads evicting the same entry unlocked would raise KeyError and overfill it.
+_MEMO: dict[TorusLink, tuple[TorusLink, tuple[RelationStep, ...]]] = {}
+_MEMO_SIZE = 1 << 16
+_MEMO_LOCK = allocate_lock()
+
+
+def _memoise(link: TorusLink, moves: list[Relation] | None = None
+             ) -> tuple[TorusLink, tuple[RelationStep, ...]]:
+    """Memoise the chain replaying `moves` (`canonical`'s, computed if None).
+
+    A full memo evicts its first entry; an entry made meanwhile is kept.
+    """
+    if moves is None:
+        moves = []
+        canonical(link.space, link.p, link.q, link.n, moves)
     steps = []
     cur = link
     for relation in moves:
         step = apply_relation(cur, relation)
         steps.append(step)
         cur = step.after
-    return cur, tuple(steps)
+    with _MEMO_LOCK:
+        if len(_MEMO) >= _MEMO_SIZE and link not in _MEMO:
+            del _MEMO[next(iter(_MEMO))]
+        return _MEMO.setdefault(link, (cur, tuple(steps)))
 
 
 def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...] | None]:
@@ -351,14 +373,20 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...]
     """
     if a.space is not b.space:
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
-    # A positive verdict reduces again via the memo, warming it for later canon queries.
-    if canonical(a.space, a.p, a.q, a.n) != canonical(b.space, b.p, b.q, b.n):
+    # A memoised side compares its stored form, the other runs `canonical` once;
+    # a positive verdict replays those moves, a negative one memoises nothing.
+    memo_a, memo_b = _MEMO.get(a), _MEMO.get(b)
+    moves_a, moves_b = [], []
+    if ((memo_a[0][1:] if memo_a else canonical(*a, moves_a))
+            != (memo_b[0][1:] if memo_b else canonical(*b, moves_b))):
         return False, None
+    memo_a = memo_a or _memoise(a, moves_a)
+    memo_b = memo_b or _memoise(b, moves_b)
     # b's chain holds forward moves only; run backward, R1 and R2 stay forward.
-    return True, normal_form(a)[1] + tuple(
-        RelationStep(s.relation, _FORWARD if s.relation is _R1 or s.relation is _R2
-                     else _BACKWARD, s.after, s.before)
-        for s in reversed(normal_form(b)[1]))
+    return True, memo_a[1] + tuple(
+        _tuple_new(RelationStep, (relation, _FORWARD if relation is _R1 or relation is _R2
+                                  else _BACKWARD, after, before))
+        for relation, _, before, after in reversed(memo_b[1]))
 
 
 def _lift(p: int, q: int) -> tuple[int, int]:
@@ -370,7 +398,7 @@ def lift(link: TorusLink) -> TorusLink:
     """Preimage in S^3 under the double cover, by `_lift`."""
     if link.space is not _RP3:
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")
-    return TorusLink(_SPHERE3, *_lift(link.p, link.q), link.n)
+    return _tuple_new(TorusLink, (_SPHERE3, *_lift(link.p, link.q), link.n))
 
 
 def classify(link: TorusLink) -> Classification:
@@ -378,22 +406,23 @@ def classify(link: TorusLink) -> Classification:
 
     The split families are T(0, c; 0) with c >= 2 in either space and
     T(2m, m; 1) with m = c - 1 >= 1 in RP^3, c the component count.  The
-    link's normal form comes from the memo `normal_form` fills; the members'
+    link's normal form comes from the memo `normal_form` reads; the members'
     are in closed form: in S^3 T(0, c; 0) -> (1 - c, 0; 1) by R2, R3 and R1
     (R4's k = q = 0); in RP^3 T(0, c; 0) -> (-2c, -c; 0) by R1 R2 (R3's k = 2c
     does not divide c) and T(2m, m; 1) -> (-2m, -m; 1) by R1 (R4's k = 0).
     """
-    nf = _normal_form_memo(link)[0][1:]
+    nf = (_MEMO.get(link) or _memoise(link))[0][1:]
     if nf == (0, 0, 0):
-        return Classification(_EMPTY, "the empty link")
+        return _EMPTY_LINK
     c = component_count(link)
     if c >= 2:
         rp3 = link.space is _RP3
         if nf == ((-2 * c, -c, 0) if rp3 else (1 - c, 0, 1)):
-            return Classification(_SPLIT, f"split link of {c} fibers in a ball: T(0,{c};0)")
+            return _tuple_new(Classification,
+                              (_SPLIT, f"split link of {c} fibers in a ball: T(0,{c};0)"))
         if rp3 and nf == (2 - 2 * c, 1 - c, 1):
-            return Classification(_SPLIT, f"split link T(2q,q;1) with q={c - 1}")
-    return Classification(_SEIFERT, "complement admits a Seifert fibration")
+            return _tuple_new(Classification, (_SPLIT, f"split link T(2q,q;1) with q={c - 1}"))
+    return _SEIFERT_LINK
 
 
 # ---------------------------------------------------------------------------

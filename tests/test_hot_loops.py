@@ -63,6 +63,7 @@ HOT_FUNCTIONS = [
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),
     (links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict"),
+    (links, "isotopic"), (links, "apply_relation"), (links, "lift"), (links, "_memoise"),
 ]
 ENCODERS = [(links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict")]
 

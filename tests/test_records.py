@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import projlink
+from projlink import links
 from projlink.atlas import (
     Atlas,
     VerificationReport,
@@ -37,7 +38,8 @@ from projlink.links import (
     Relation,
     RelationStep,
     TorusLink,
-    _normal_form_memo,
+    _MEMO,
+    canonical,
     isotopic,
     make_link,
     normal_form,
@@ -182,13 +184,20 @@ def test_torus_link_is_a_dict_key():
     assert TorusLink(S3, 2, 1, 0) not in table
 
 
-def test_torus_link_is_the_normal_form_cache_key():
+def test_torus_link_is_the_normal_form_cache_key(monkeypatch):
     link = make_link(S3, 12, 18, 0)
     first = normal_form(link)
-    hits = _normal_form_memo.cache_info().hits
+    size = len(_MEMO)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(links, "canonical", counting)
     again = normal_form(TorusLink(S3, 12, 18, 0))
     assert again is first
-    assert _normal_form_memo.cache_info().hits == hits + 1
+    assert len(_MEMO) == size and calls == []
 
 
 # ---------------------------------------------------------------------------
