@@ -18,14 +18,15 @@ preimage of the decomposition in S^3.  A fixed edge may not swap its
 endpoints (that would quotient to a one-sided torus) and knotted hole
 balls always lift to two copies, so edges touching them must be moved.
 
-Each raw tree is read in one pass: `_parse_tree` returns the typed tree or
-every violation in input order, and `validate_tree` wraps it.  Only
-`potential` walks the tree, so the adjacency is built once per tree, there.
-`outermost` is the label criterion read off each edge's labels; that it
-equals the local minima of the potential and is never empty on a valid tree
-is checked by the tests, not at run time.  `lemma44_check` takes the
-cover's `quotient` and counts the cover's far-side labels in one pass over
-the cover's edges.  The four records are named tuples.
+Each raw tree is read in one pass: `validate_tree` returns the typed tree
+or raises with every violation in input order.  Only `potential` walks the
+tree, so the adjacency is built once per tree, there, and each edge's
+orientation is read off its labels in that walk.  `outermost` is the label
+criterion read off each edge's labels; that it equals the local minima of
+the potential and is never empty on a valid tree is checked by the tests,
+not at run time.  `lemma44_check` takes the cover's `quotient` and counts
+the cover's far-side labels in one pass over the cover's edges.  The four
+records are named tuples.
 """
 
 from __future__ import annotations
@@ -118,23 +119,23 @@ def _shape_violations(vertices: dict, pairs: list[tuple[str, str]]) -> list[tupl
     return []
 
 
-def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
+def validate_tree(raw: dict) -> JsjTree:
     """Read a raw tree description in one pass.
 
-    Returns the typed tree and no violations, or None and every violation
-    in input order.  A value of the wrong JSON type where the checks look
-    (a document or entry that is not an object, vertices or edges that are
-    not a list, an edge endpoint that cannot be hashed) is an INVALID_INPUT
-    violation, not an exception.
+    Returns the typed tree, or raises TreeValidationError with every
+    violation in input order.  A value of the wrong JSON type where the
+    checks look (a document or entry that is not an object, vertices or
+    edges that are not a list, an edge endpoint that cannot be hashed) is an
+    INVALID_INPUT violation, not another exception.
     """
     if not isinstance(raw, dict):
-        return None, [("INVALID_INPUT",
-                        f"a tree must be an object, got {type(raw).__name__}")]
+        raise TreeValidationError(
+            [("INVALID_INPUT", f"a tree must be an object, got {type(raw).__name__}")])
     raw_vertices, raw_edges = raw.get("vertices", []), raw.get("edges", [])
     for key, value in (("vertices", raw_vertices), ("edges", raw_edges)):
         if not isinstance(value, (list, tuple)):
-            return None, [("INVALID_INPUT",
-                            f"{key} must be a list, got {type(value).__name__}")]
+            raise TreeValidationError(
+                [("INVALID_INPUT", f"{key} must be a list, got {type(value).__name__}")])
 
     violations: list[tuple[str, str]] = []
     broken = False  # a NOT_A_TREE or INVALID_INPUT: the shape is not checked
@@ -195,16 +196,8 @@ def _parse_tree(raw) -> tuple[JsjTree | None, list[tuple[str, str]]]:
     if not broken or not vertices:
         violations.extend(_shape_violations(vertices, pairs))
     if violations:
-        return None, violations
-    return JsjTree(vertices, tuple(edges)), []
-
-
-def validate_tree(raw: dict) -> JsjTree:
-    """Parse and validate a raw tree description; raises on any violation."""
-    tree, violations = _parse_tree(raw)
-    if violations:
         raise TreeValidationError(violations)
-    return tree
+    return JsjTree(vertices, tuple(edges))
 
 
 def tree_to_dict(tree: JsjTree) -> dict:
@@ -221,20 +214,6 @@ def tree_to_dict(tree: JsjTree) -> dict:
     }
 
 
-def edge_orientation(edge: TreeEdge) -> tuple[str, str] | None:
-    """Derived orientation (tail, head), or None for a Heegaard edge.
-
-    The head endpoint is the one enclosed in the solid torus or knotted
-    hole ball on its side of the torus.
-    """
-    u, v, lu, lv = edge
-    if lu is _ST and lv is _ST:
-        return None
-    if lu is not _OTHER:
-        return (u, v)
-    return (v, u)
-
-
 def potential(tree: JsjTree) -> dict[str, int]:
     """The unique vertex potential, normalized to minimum zero.
 
@@ -243,21 +222,20 @@ def potential(tree: JsjTree) -> dict[str, int]:
     acyclicity.
     """
     adj = tree.adjacency()
-    orientation = edge_orientation
     root = min(tree.vertices)
     values = {root: 0}
     stack = [root]
     while stack:
         x = stack.pop()
         fx = values[x]
-        for e in adj[x]:
-            y = e[1] if e[0] == x else e[0]
+        for u, v, lu, lv in adj[x]:
+            y = v if u == x else u
             if y in values:
                 continue
-            orient = orientation(e)
-            # y differs from x, so the edge points from x to y exactly when
-            # its tail is x.
-            values[y] = fx if orient is None else fx + 1 if orient[0] == x else fx - 1
+            # A Heegaard edge is level; any other has its tail at u exactly
+            # when lu is not OTHER, so it points from x to y when both agree.
+            values[y] = (fx if lu is lv is _ST
+                         else fx + 1 if (lu is not _OTHER) is (u == x) else fx - 1)
             stack.append(y)
     low = min(values.values())
     return {v: f - low for v, f in values.items()} if low else values
@@ -377,12 +355,12 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
             non_st[v] += 1
 
     entries = []
+    # A quotient vertex is the least of its orbit.
     for qv in sorted(quotient_tree.vertices):
-        orbit = tuple(sorted({qv, sigma[qv]}))
-        if len(orbit) == 1:
-            criterion = non_st[qv] % 2 == 0
-        else:
-            criterion = False  # disconnected preimage
+        w = sigma[qv]
+        fixed = w == qv
+        orbit = (qv,) if fixed else (qv, w)
+        criterion = fixed and non_st[qv] % 2 == 0
         is_outer = qv in outer
         entries.append(CoverCheckEntry(
             vertex=qv, orbit=orbit, outermost=is_outer,

@@ -373,9 +373,12 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...]
     """
     if a.space is not b.space:
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
-    # A memoised side compares its stored form, the other runs `canonical` once;
-    # a positive verdict replays those moves, a negative one memoises nothing.
+    # A memoised side compares its stored form, the other runs `canonical` once
+    # (equal sides share one memoised run); a positive verdict replays those
+    # moves, a negative one memoises nothing.
     memo_a, memo_b = _MEMO.get(a), _MEMO.get(b)
+    if memo_b is None and b == a:
+        memo_a = memo_b = _memoise(a)
     moves_a, moves_b = [], []
     if ((memo_a[0][1:] if memo_a else canonical(*a, moves_a))
             != (memo_b[0][1:] if memo_b else canonical(*b, moves_b))):

@@ -16,7 +16,7 @@ from projlink.atlas import (
     verify_lift_injectivity,
 )
 from projlink.generators import random_cover_spec, random_jsj_tree
-from projlink.jsj import edge_orientation, lemma44_check, outermost, potential
+from projlink.jsj import RegionLabel, lemma44_check, outermost, potential
 from projlink.links import (
     AmbientSpace,
     isotopic,
@@ -27,6 +27,7 @@ from projlink.links import (
 
 S3 = AmbientSpace.SPHERE3
 RP3 = AmbientSpace.RP3
+ST, OTHER = RegionLabel.SOLID_TORUS, RegionLabel.OTHER
 
 
 def report(number, text):
@@ -154,13 +155,15 @@ def test_criterion_7_tree_suite():
         tree = random_jsj_tree(rng, size)
         values = potential(tree)
         assert min(values.values()) == 0
-        for edge in tree.edges:
-            orient = edge_orientation(edge)
-            if orient is None:
-                assert values[edge.u] == values[edge.v]
+        # Orientation read from the labels: level between two solid tori,
+        # else up toward the endpoint whose far side is OTHER.
+        for u, v, lu, lv in tree.edges:
+            if lu is ST and lv is ST:
+                assert values[u] == values[v]
+            elif lv is OTHER:
+                assert values[u] + 1 == values[v]
             else:
-                tail, head = orient
-                assert values[tail] + 1 == values[head]
+                assert values[v] + 1 == values[u]
         # the label criterion is non-empty and equals the local minima
         outer = outermost(tree)
         assert outer

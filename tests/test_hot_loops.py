@@ -56,9 +56,8 @@ HOT_FUNCTIONS = [
     (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "canonical"),
     (atlas, "_closure_roots"), (atlas, "verify_lift_injectivity"),
     (atlas, "relation_lift_compatibility"),
-    (jsj, "_parse_tree"), (jsj, "edge_orientation"),
-    (jsj, "potential"), (jsj, "outermost"), (jsj, "_involution_violations"),
-    (jsj, "quotient"), (jsj, "lemma44_check"),
+    (jsj, "validate_tree"), (jsj, "potential"), (jsj, "outermost"),
+    (jsj, "_involution_violations"), (jsj, "quotient"), (jsj, "lemma44_check"),
     (generators, "_pruefer_edges"), (generators, "random_jsj_tree"),
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),

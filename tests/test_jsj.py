@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import projlink
-from projlink.generators import random_cover_spec, random_jsj_tree
+from projlink.generators import _EDGE_LABELINGS, random_cover_spec, random_jsj_tree
 from projlink.jsj import (
     CoverSpec,
     Geometry,
@@ -18,10 +18,8 @@ from projlink.jsj import (
     TreeEdge,
     TreeValidationError,
     _involution_violations,
-    _parse_tree,
     cover_from_dict,
     cover_to_dict,
-    edge_orientation,
     lemma44_check,
     outermost,
     potential,
@@ -34,6 +32,15 @@ ST, KHB, OTHER = (RegionLabel.SOLID_TORUS, RegionLabel.KNOTTED_HOLE_BALL,
                   RegionLabel.OTHER)
 # The label pairs one torus may carry, (beyond u, beyond v).
 ALLOWED_PAIRS = ((ST, ST), (ST, OTHER), (OTHER, ST), (KHB, OTHER), (OTHER, KHB))
+
+
+def violations(raw):
+    """The violations `validate_tree` raises for `raw`; [] for a valid tree."""
+    try:
+        validate_tree(raw)
+    except TreeValidationError as err:
+        return err.violations
+    return []
 
 
 def local_minima(tree, values):
@@ -94,32 +101,28 @@ class TestValidateTree:
         tree = validate_tree(raw_tree(["a"], []))
         assert set(tree.vertices) == {"a"}
 
-    def test_solid_torus_against_knotted_hole_ball(self):
-        codes = [c for c, _ in _parse_tree(
-            raw_tree(["a", "b"], [("a", "b", ST, KHB)]))[1]]
-        assert codes == ["FORBIDDEN_LABEL_PAIR"]
-
-    def test_double_knotted_hole_ball(self):
-        codes = [c for c, _ in _parse_tree(
-            raw_tree(["a", "b"], [("a", "b", KHB, KHB)]))[1]]
-        assert codes == ["FORBIDDEN_LABEL_PAIR"]
-
-    def test_all_other_edge(self):
-        codes = [c for c, _ in _parse_tree(
-            raw_tree(["a", "b"], [("a", "b", OTHER, OTHER)]))[1]]
-        assert codes == ["FORBIDDEN_LABEL_PAIR"]
+    # All 9 ordered pairs: the 5 accepted are the test's own ALLOWED_PAIRS
+    # and the generators' table; each of the other 4 is reported with its labels.
+    @pytest.mark.parametrize("lu, lv", list(itertools.product(RegionLabel, repeat=2)),
+                             ids=lambda label: label.value)
+    def test_label_pair(self, lu, lv):
+        allowed = (lu, lv) in ALLOWED_PAIRS
+        assert allowed is ((lu, lv) in _EDGE_LABELINGS)
+        expected = [] if allowed else [
+            ("FORBIDDEN_LABEL_PAIR", f"edge 'a'-'b' carries ({lu.value}, {lv.value})")]
+        assert violations(raw_tree(["a", "b"], [("a", "b", lu, lv)])) == expected
 
     def test_missing_label(self):
         raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
         del raw["edges"][0]["label_beyond_v"]
-        codes = [c for c, _ in _parse_tree(raw)[1]]
+        codes = [c for c, _ in violations(raw)]
         assert codes == ["UNLABELED_EDGE"]
 
     def test_cycle_rejected(self):
         raw = raw_tree(["a", "b", "c"],
                        [("a", "b", ST, OTHER), ("b", "c", ST, OTHER),
                         ("c", "a", ST, OTHER)])
-        assert any(c == "NOT_A_TREE" for c, _ in _parse_tree(raw)[1])
+        assert any(c == "NOT_A_TREE" for c, _ in violations(raw))
 
     def test_disconnected_rejected(self):
         raw = raw_tree(["a", "b", "c", "d"],
@@ -133,14 +136,14 @@ class TestValidateTree:
     def test_label_member_is_not_a_wire_value(self, label):
         raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
         raw["edges"][0]["label_beyond_u"] = label
-        assert _parse_tree(raw) == (None, [("UNLABELED_EDGE", "edge 'a'-'b' lacks labels")])
+        assert violations(raw) == [("UNLABELED_EDGE", "edge 'a'-'b' lacks labels")]
 
     @pytest.mark.parametrize("geometry", list(Geometry))
     def test_geometry_member_is_not_a_wire_value(self, geometry):
         raw = raw_tree(["a", "b"], [("a", "b", ST, OTHER)])
         raw["vertices"][0]["geometry"] = geometry
-        assert _parse_tree(raw) == (None, [("NOT_A_TREE", "unknown geometry for vertex 'a'"),
-                                           ("NOT_A_TREE", "bad edge endpoints 'a'-'b'")])
+        assert violations(raw) == [("NOT_A_TREE", "unknown geometry for vertex 'a'"),
+                                   ("NOT_A_TREE", "bad edge endpoints 'a'-'b'")]
 
     @pytest.mark.parametrize("raw", [
         [],
@@ -156,10 +159,7 @@ class TestValidateTree:
                     "label_beyond_v": "other"}]},
     ])
     def test_non_tree_shapes_are_invalid_input(self, raw):
-        codes = [c for c, _ in _parse_tree(raw)[1]]
-        assert "INVALID_INPUT" in codes
-        with pytest.raises(TreeValidationError):
-            validate_tree(raw)
+        assert "INVALID_INPUT" in [c for c, _ in violations(raw)]
 
 
 class TestPotential:
@@ -181,7 +181,26 @@ class TestPotential:
     def test_heegaard_edge_is_level(self):
         tree = validate_tree(raw_tree(["a", "b"], [("a", "b", ST, ST)]))
         assert potential(tree) == {"a": 0, "b": 0}
-        assert edge_orientation(tree.edges[0]) is None
+
+    # The potential of one edge a-b for each allowed (beyond a, beyond b),
+    # worked by hand: level on solid tori, else the endpoint that a solid
+    # torus or knotted hole ball encloses is one higher.
+    HAND_POTENTIALS = {
+        (ST, ST): {"a": 0, "b": 0},
+        (ST, OTHER): {"a": 0, "b": 1},
+        (OTHER, ST): {"a": 1, "b": 0},
+        (KHB, OTHER): {"a": 0, "b": 1},
+        (OTHER, KHB): {"a": 1, "b": 0},
+    }
+
+    # The walk starts at "a", so stored a-b it meets the edge at u, stored
+    # b-a at v.
+    @pytest.mark.parametrize("stored", ["a-b", "b-a"])
+    @pytest.mark.parametrize("la, lb", ALLOWED_PAIRS, ids=lambda label: label.value)
+    def test_every_allowed_pair_in_both_endpoint_orders(self, la, lb, stored):
+        edge = ("a", "b", la, lb) if stored == "a-b" else ("b", "a", lb, la)
+        tree = validate_tree(raw_tree(["a", "b"], [edge]))
+        assert potential(tree) == self.HAND_POTENTIALS[la, lb]
 
     def test_unique_regardless_of_propagation_root(self):
         rng = random.Random(11)
@@ -190,14 +209,17 @@ class TestPotential:
             values = potential(tree)
             # re-derive from each vertex by brute shifting: the edge
             # constraints pin all differences, so any valid assignment with
-            # min zero equals the computed one
-            for e in tree.edges:
-                orient = edge_orientation(e)
-                if orient is None:
-                    assert values[e.u] == values[e.v]
+            # min zero equals the computed one.  The orientation is read from
+            # the labels: level between two solid tori, else up toward the
+            # endpoint enclosed in the solid torus or knotted hole ball, the
+            # one whose far side is OTHER.
+            for u, v, lu, lv in tree.edges:
+                if lu is ST and lv is ST:
+                    assert values[u] == values[v]
+                elif lv is OTHER:
+                    assert values[u] + 1 == values[v]
                 else:
-                    tail, head = orient
-                    assert values[tail] + 1 == values[head]
+                    assert values[v] + 1 == values[u]
             assert min(values.values()) == 0
 
 
@@ -296,8 +318,7 @@ class TestQuotient:
             JsjTree({"a": Geometry.SEIFERT, "b": Geometry.SEIFERT},
                     (TreeEdge("a", "b", ST, ST),)),
             {"a": "a", "b": "b"})
-        tree = quotient(spec)
-        assert edge_orientation(tree.edges[0]) is None
+        assert quotient(spec).edges == (TreeEdge("a", "b", ST, ST),)
 
     def test_vertex_counts(self):
         rng = random.Random(5)
@@ -344,14 +365,14 @@ class TestQuotient:
                         if _involution_violations(spec):
                             continue
                         covers += 1
-                        assert _parse_tree(tree_to_dict(quotient(spec)))[1] == []
+                        assert violations(tree_to_dict(quotient(spec))) == []
         assert covers == 658
 
     def test_quotient_of_random_covers_is_a_valid_tree(self):
         rng = random.Random(13)
         for size in range(1, 121):
             spec = random_cover_spec(rng, size, move_bias=rng.random())
-            assert _parse_tree(tree_to_dict(quotient(spec)))[1] == []
+            assert violations(tree_to_dict(quotient(spec))) == []
 
 
 class TestLemma44:

@@ -80,6 +80,19 @@ def test_negative_isotopic_reduces_each_side_once_and_memoises_nothing(memo, cal
     assert calls == []
 
 
+def test_equal_sides_share_one_reduction(memo, calls):
+    a = make_link(S3, 12, 36, 0)
+    ok, chain = isotopic(a, a)
+    assert ok and verify_chain(chain, a, a)
+    assert len(calls) == 1 and list(memo) == [a]
+    # The chain runs a -> normal form -> a.
+    nf, steps = memo[a]
+    assert steps and chain[:len(steps)] == steps and chain[len(steps)].before == nf
+    del calls[:]
+    assert isotopic(a, a) == (True, chain)
+    assert calls == []
+
+
 def test_a_memoised_side_is_not_reduced_again(memo, calls):
     a, b = make_link(RP3, 9, 6, 1), make_link(RP3, -9, -6, 1)
     normal_form(b)

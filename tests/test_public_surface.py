@@ -37,8 +37,8 @@ SURFACE = {
     jsj: {
         "CoverCheckEntry", "CoverSpec", "Geometry", "JsjTree", "JsjTree.adjacency",
         "RegionLabel", "TreeEdge", "TreeValidationError", "cover_from_dict",
-        "cover_to_dict", "edge_orientation", "lemma44_check", "outermost", "potential",
-        "quotient", "tree_to_dict", "validate_tree",
+        "cover_to_dict", "lemma44_check", "outermost", "potential", "quotient",
+        "tree_to_dict", "validate_tree",
     },
     generators: {"random_cover_spec", "random_jsj_tree"},
     cli: {"main"},
