@@ -168,6 +168,7 @@ def _cmd_jsj(args) -> int:
         else:
             spec = jsj.cover_from_dict(raw)
             entries = jsj.lemma44_check(spec)
+            mismatches = sum(1 for e in entries if not e.agree)
             _emit({
                 "vertices": [
                     {
@@ -179,8 +180,10 @@ def _cmd_jsj(args) -> int:
                     }
                     for e in entries
                 ],
-                "mismatches": sum(1 for e in entries if not e.agree),
+                "mismatches": mismatches,
             })
+            if mismatches:  # the comparison is refuted on this cover
+                return 1
     except jsj.TreeValidationError as exc:
         _emit({"status": "ERROR",
                "violations": [{"code": c, "detail": d} for c, d in exc.violations]})

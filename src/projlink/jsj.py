@@ -97,22 +97,23 @@ class TreeValidationError(Exception):
         super().__init__("; ".join(f"{c}: {d}" for c, d in violations))
 
 
-def _shape_violations(vertices: dict, pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+def _shape_violations(vertices: dict, edges: list[TreeEdge]) -> list[tuple[str, str]]:
     """NOT_A_TREE violations of a graph whose edges join distinct vertices."""
     if not vertices:
         return [("NOT_A_TREE", "no vertices")]
-    if len(pairs) != len(vertices) - 1:
+    if len(edges) != len(vertices) - 1:
         return [("NOT_A_TREE", f"{len(vertices)} vertices need "
-                               f"{len(vertices) - 1} edges, got {len(pairs)}")]
+                               f"{len(vertices) - 1} edges, got {len(edges)}")]
     # With one edge fewer than vertices, the graph is connected exactly when
     # it has no cycle, and a cycle shows as an edge inside one class of a
-    # union-find (path halving).
-    parent = {v: v for v in vertices}
-    for u, v in pairs:
-        while (up := parent[u]) != u:
-            parent[u] = u = parent[up]
-        while (vp := parent[v]) != v:
-            parent[v] = v = parent[vp]
+    # union-find (path halving).  A root has no entry in `parent`.
+    parent: dict[str, str] = {}
+    get = parent.get
+    for u, v, _, _ in edges:
+        while (up := get(u)) is not None:
+            parent[u] = u = get(up, up)
+        while (vp := get(v)) is not None:
+            parent[v] = v = get(vp, vp)
         if u == v:
             return [("NOT_A_TREE", "graph is not connected")]
         parent[u] = v
@@ -158,8 +159,7 @@ def validate_tree(raw: dict) -> JsjTree:
                 ("NOT_A_TREE", f"unknown geometry for vertex {vid!r}"))
             broken = True
 
-    edges: list[TreeEdge] = []
-    pairs: list[tuple[str, str]] = []  # edges with usable endpoints
+    edges: list[TreeEdge] = []  # every edge with usable endpoints
     for entry in raw_edges:
         if not isinstance(entry, dict):
             violations.append(
@@ -179,12 +179,13 @@ def validate_tree(raw: dict) -> JsjTree:
             violations.append(("NOT_A_TREE", f"bad edge endpoints {u!r}-{v!r}"))
             broken = True
             continue
-        pairs.append((u, v))
         try:
             lu = _LABELS[entry["label_beyond_u"]]
             lv = _LABELS[entry["label_beyond_v"]]
         except (KeyError, TypeError):
             violations.append(("UNLABELED_EDGE", f"edge {u!r}-{v!r} lacks labels"))
+            # The tree is not returned, but the edge counts for its shape.
+            edges.append(_tuple_new(TreeEdge, (u, v, None, None)))
             continue
         # Allowed: exactly one side OTHER, or solid tori on both sides.
         if (lu is _OTHER) is (lv is _OTHER) and not (lu is lv is _ST):
@@ -194,7 +195,7 @@ def validate_tree(raw: dict) -> JsjTree:
         edges.append(_tuple_new(TreeEdge, (u, v, lu, lv)))
 
     if not broken or not vertices:
-        violations.extend(_shape_violations(vertices, pairs))
+        violations.extend(_shape_violations(vertices, edges))
     if violations:
         raise TreeValidationError(violations)
     return JsjTree(vertices, tuple(edges))
@@ -202,10 +203,10 @@ def validate_tree(raw: dict) -> JsjTree:
 
 def tree_to_dict(tree: JsjTree) -> dict:
     # `_value_`, a plain attribute: `value` is a Python-level property on 3.11.
+    vertices = tree.vertices
     return {
         "vertices": [
-            {"id": vid, "geometry": geom._value_}
-            for vid, geom in sorted(tree.vertices.items())
+            {"id": vid, "geometry": vertices[vid]._value_} for vid in sorted(vertices)
         ],
         "edges": [
             {"u": u, "v": v, "label_beyond_u": lu._value_, "label_beyond_v": lv._value_}
@@ -280,25 +281,27 @@ def _involution_violations(spec: CoverSpec) -> list[tuple[str, str]]:
     if violations:
         return violations
 
-    by_ends = {frozenset(e[:2]): e for e in edges}
+    # Each edge under both orientations: (x, y) -> the labels beyond x and y.
+    by_ends = {}
+    for u, v, lu, lv in edges:
+        by_ends[u, v] = lu, lv
+        by_ends[v, u] = lv, lu
     for u, v, lu, lv in edges:
         su, sv = sigma[u], sigma[v]
-        image_ends = frozenset((su, sv))
-        image = by_ends.get(image_ends)
+        image = by_ends.get((su, sv))
         if image is None:
             violations.append(
                 ("INVALID_INVOLUTION", f"image of edge {u!r}-{v!r} is not an edge"))
             continue
-        # The image's labels away from su and sv, both of them its ends.
-        iu, _, ilu, ilv = image
-        if (ilu if su == iu else ilv) != lu or (ilu if sv == iu else ilv) != lv:
+        if image[0] is not lu or image[1] is not lv:
             violations.append(
                 ("INVALID_INVOLUTION", f"labels not preserved on edge {u!r}-{v!r}"))
-        if image_ends == frozenset((u, v)):
+        # The image has the ends u and v (su == v gives sv == u: an involution).
+        if su == v or su == u and sv == v:
             if su == v:
                 violations.append(
                     ("INVALID_INVOLUTION", f"fixed edge {u!r}-{v!r} swaps its endpoints"))
-            if _KHB in (lu, lv):
+            if lu is _KHB or lv is _KHB:
                 violations.append(
                     ("INVALID_INVOLUTION", f"knotted-hole-ball edge {u!r}-{v!r} is fixed"))
     return violations
@@ -319,16 +322,22 @@ def quotient(spec: CoverSpec) -> JsjTree:
     if violations:
         raise TreeValidationError(violations)
     tree, sigma = spec.cover, spec.vertex_map
-    rep = {v: min(v, sigma[v]) for v in tree.vertices}
+    rep: dict[str, str] = {}
     # In the cover's order, so the quotient does not depend on hashing.
-    vertices = {v: g for v, g in tree.vertices.items() if rep[v] == v}
+    vertices: dict[str, Geometry] = {}
+    for v, g in tree.vertices.items():
+        if (w := sigma[v]) < v:
+            rep[v] = w
+        else:
+            rep[v] = v
+            vertices[v] = g
 
-    edges: dict[frozenset[str], TreeEdge] = {}
+    edges: dict[tuple[str, str], TreeEdge] = {}  # keyed by sorted ends
     # In the order of each edge's sorted endpoints.
     for u, v, lu, lv in sorted(tree.edges,
                                key=lambda e: (e[1], e[0]) if e[1] < e[0] else (e[0], e[1])):
         ru, rv = rep[u], rep[v]
-        key = frozenset((ru, rv))
+        key = (ru, rv) if ru < rv else (rv, ru)
         if key not in edges:
             edges[key] = _tuple_new(TreeEdge, (ru, rv, lu, lv))
     return JsjTree(vertices, tuple(edges.values()))
@@ -362,9 +371,8 @@ def lemma44_check(spec: CoverSpec) -> tuple[CoverCheckEntry, ...]:
         orbit = (qv,) if fixed else (qv, w)
         criterion = fixed and non_st[qv] % 2 == 0
         is_outer = qv in outer
-        entries.append(CoverCheckEntry(
-            vertex=qv, orbit=orbit, outermost=is_outer,
-            criterion=criterion, agree=is_outer == criterion))
+        entries.append(_tuple_new(CoverCheckEntry,
+                                  (qv, orbit, is_outer, criterion, is_outer == criterion)))
     return tuple(entries)
 
 
@@ -391,5 +399,6 @@ def cover_from_dict(raw: dict) -> CoverSpec:
 
 def cover_to_dict(spec: CoverSpec) -> dict:
     out = tree_to_dict(spec.cover)
-    out["involution"] = {"vertex_map": dict(sorted(spec.vertex_map.items()))}
+    sigma = spec.vertex_map
+    out["involution"] = {"vertex_map": {v: sigma[v] for v in sorted(sigma)}}
     return out

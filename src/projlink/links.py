@@ -27,8 +27,9 @@ shrink |p| + |q|), then the lexicographic minimum over the final orbit.
 `normal_form` replays the moves `canonical` applied into a witness chain,
 so every positive verdict carries a replayable certificate; callers that
 only compare classes, such as the atlas and its verifiers, use `canonical`
-and build no chains.  A dict memoises chains, first in first out, and
-`isotopic` reads it, so it reduces each side at most once.
+and build no chains.  An `OrderedDict` memoises chains, first in first
+out with O(1) eviction, and `isotopic` reads it, so it reduces each side at
+most once.
 
 The records are named tuples, each equal to the plain tuple of its fields.
 A witness chain is the plain tuple of its steps.
@@ -37,7 +38,7 @@ A witness chain is the plain tuple of its steps.
 from __future__ import annotations
 
 from _thread import allocate_lock
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from enum import Enum
 from math import gcd
 
@@ -338,7 +339,7 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 # Interactive callers ask about the same triples again and again; scans of
 # the atlas use `canonical` and never reach this memo.  Hits take no lock; two
 # threads evicting the same entry unlocked would raise KeyError and overfill it.
-_MEMO: dict[TorusLink, tuple[TorusLink, tuple[RelationStep, ...]]] = {}
+_MEMO: OrderedDict[TorusLink, tuple[TorusLink, tuple[RelationStep, ...]]] = OrderedDict()
 _MEMO_SIZE = 1 << 16
 _MEMO_LOCK = allocate_lock()
 
@@ -360,7 +361,7 @@ def _memoise(link: TorusLink, moves: list[Relation] | None = None
         cur = step.after
     with _MEMO_LOCK:
         if len(_MEMO) >= _MEMO_SIZE and link not in _MEMO:
-            del _MEMO[next(iter(_MEMO))]
+            _MEMO.popitem(last=False)  # O(1), unlike a dict's del d[next(iter(d))]
         return _MEMO.setdefault(link, (cur, tuple(steps)))
 
 

@@ -190,6 +190,29 @@ class TestJsj:
         assert out["mismatches"] == 0
         assert all(v["agree"] for v in out["vertices"])
 
+    def test_cover_check_mismatch_is_exit_1(self, capsys, tmp_path):
+        # The path v1-v0-v2 with two Heegaard edges and v1, v2 swapped: the
+        # orbit {v1, v2} is outermost downstairs, but its preimage is two
+        # vertices.  The document is the one printed before a mismatch
+        # changed the exit code.
+        path = self.write(tmp_path, {
+            "vertices": [{"id": "v0", "geometry": "seifert"},
+                         {"id": "v1", "geometry": "hyperbolic"},
+                         {"id": "v2", "geometry": "hyperbolic"}],
+            "edges": [{"u": u, "v": v, "label_beyond_u": "st", "label_beyond_v": "st"}
+                      for u, v in (("v1", "v0"), ("v0", "v2"))],
+            "involution": {"vertex_map": {"v0": "v0", "v1": "v2", "v2": "v1"}},
+        })
+        code = main(["jsj", "cover-check", path])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            '{\n  "mismatches": 1,\n  "vertices": [\n'
+            '    {\n      "agree": true,\n      "criterion": true,\n      "id": "v0",\n'
+            '      "orbit": [\n        "v0"\n      ],\n      "outermost": true\n    },\n'
+            '    {\n      "agree": false,\n      "criterion": false,\n      "id": "v1",\n'
+            '      "orbit": [\n        "v1",\n        "v2"\n      ],\n'
+            '      "outermost": true\n    }\n  ]\n}\n')
+
     @pytest.mark.parametrize("subcommand, payload", [
         ("outermost", []),
         ("cover-check", []),

@@ -87,6 +87,18 @@ def test_hot_loops_read_no_enum_class(module, name):
     assert not _global_loads(vars(module)[name].__code__) & ENUM_CLASSES
 
 
+# The cover check and the quotient allocate nothing per edge or vertex that
+# their result does not keep: no set of an edge's ends, no `min` of an orbit.
+THROWAWAY_GLOBALS = [(jsj, "_involution_violations", {"frozenset"}),
+                     (jsj, "quotient", {"frozenset", "min"})]
+
+
+@pytest.mark.parametrize("module, name, banned", THROWAWAY_GLOBALS,
+                         ids=[f"jsj.{n}" for _, n, _ in THROWAWAY_GLOBALS])
+def test_cover_loops_load_no_throwaway_builder(module, name, banned):
+    assert not _global_loads(vars(module)[name].__code__) & banned
+
+
 @pytest.mark.parametrize("module, name", ENCODERS,
                          ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}" for m, n in ENCODERS])
 def test_encoders_read_no_value_property(module, name):

@@ -130,6 +130,22 @@ class TestValidateTree:
         with pytest.raises(TreeValidationError):
             validate_tree(raw)
 
+    # Long chains and a high degree for the union-find of the shape check.
+    @pytest.mark.parametrize("shape", ["path", "reversed path", "star"])
+    def test_large_tree_shapes(self, shape):
+        ids = [f"v{i}" for i in range(10_000)]
+        pairs = ([(ids[0], b) for b in ids[1:]] if shape == "star"
+                 else list(zip(ids, ids[1:]))[::-1 if shape == "reversed path" else 1])
+        assert violations(raw_tree(ids, [(a, b, ST, OTHER) for a, b in pairs])) == []
+
+    @pytest.mark.parametrize("step", [1, -1], ids=["forward", "reverse"])
+    def test_long_path_with_a_cycle_and_an_isolated_vertex(self, step):
+        ids = [f"v{i}" for i in range(10_000)]
+        # v0..v9998 closed into a cycle, v9999 on its own: 9,999 edges.
+        pairs = list(zip(ids[:-2], ids[1:-1])) + [(ids[-2], ids[0])]
+        edges = [(a, b, ST, OTHER) for a, b in pairs][::step]
+        assert violations(raw_tree(ids, edges)) == [("NOT_A_TREE", "graph is not connected")]
+
     # The parser reads JSON, which cannot carry an enum member: a member
     # where a wire value belongs is reported as any other non-wire value is.
     @pytest.mark.parametrize("label", list(RegionLabel))

@@ -9,6 +9,9 @@ malformed tree in a fixed corpus, and what `projlink jsj` prints on valid
 and invalid inputs.
 The generator-state digest was recorded from the cover generator that kept
 a separate visited set and index counter in its breadth-first walk.
+The cover digest was recorded from the involution check that keyed edges
+by frozensets of their endpoints and the quotient that named each orbit
+with a `min` call per vertex.
 """
 
 import contextlib
@@ -22,7 +25,15 @@ import pytest
 
 from projlink.cli import main
 from projlink.generators import random_cover_spec, random_jsj_tree
-from projlink.jsj import TreeValidationError, cover_to_dict, tree_to_dict, validate_tree
+from projlink.jsj import (
+    TreeValidationError,
+    cover_from_dict,
+    cover_to_dict,
+    lemma44_check,
+    quotient,
+    tree_to_dict,
+    validate_tree,
+)
 
 TREE_SIZES = (0, 1, 2, 3, 7, 30, 200)
 COVER_SIZES = (1, 2, 5, 20, 120)
@@ -35,6 +46,7 @@ STREAM_DIGESTS = {
 # The stream digests miss a change that draws extra numbers after a call's
 # last pick; this one hashes the generator's state after every call.
 RNG_STATE_DIGEST = "a055a558a3fd8ef9bebe5ab03574ca76e3004a2fa86e3078e1626f559faef69d"
+COVER_VIOLATIONS_DIGEST = "afe2eb9ede8167d1381cd8e258b73938113c249de36047df8ac379bbdfa9b86f"
 VIOLATIONS_DIGEST = "f85f73a7b779d5399a3ddbea9aa28c9cf5778902e83842c1ad5af49fbce67c89"
 STDOUT_DIGESTS = {
     "outermost": "78cbcce4e9afb15b1759b330c31ba0f83fd02733969005ea4deec9984174666b",
@@ -221,6 +233,78 @@ def violations_digest() -> str:
     return digest.hexdigest()
 
 
+def _mutate_cover(rng: random.Random, raw: dict) -> None:
+    """Break a valid raw cover in one of the ways the cover checks look for,
+    or store one edge the other way round, which keeps it valid."""
+    vertices, edges = raw["vertices"], raw["edges"]
+    vmap = raw["involution"]["vertex_map"]
+    ids = list(vmap)
+    kind = rng.randrange(7)
+    if kind == 0 and len(ids) >= 2:
+        v, w = rng.sample(ids, 2)
+        vmap[v], vmap[w] = vmap[w], vmap[v]
+    elif kind == 1:
+        vmap[rng.choice(ids)] = "zz"
+    elif kind == 2 and edges:
+        entry = rng.choice(edges)
+        side = rng.choice(["label_beyond_u", "label_beyond_v"])
+        entry[side] = rng.choice([x for x in ("st", "khb", "other") if x != entry[side]])
+    elif kind == 3:
+        entry = rng.choice(vertices)
+        entry["geometry"] = "seifert" if entry["geometry"] == "hyperbolic" else "hyperbolic"
+    elif kind == 4:
+        fixed = [e for e in edges if vmap.get(e["u"]) == e["u"] and vmap.get(e["v"]) == e["v"]]
+        if fixed:
+            entry = rng.choice(fixed)
+            vmap[entry["u"]], vmap[entry["v"]] = entry["v"], entry["u"]
+    elif kind == 5:
+        khb = [e for e in edges if "khb" in (e["label_beyond_u"], e["label_beyond_v"])]
+        if khb:
+            entry = rng.choice(khb)
+            for x in (entry["u"], entry["v"]):
+                w = vmap.get(x)
+                vmap[x] = x
+                if w in vmap:
+                    vmap[w] = w
+    elif kind == 6 and edges:
+        entry = rng.choice(edges)
+        entry["u"], entry["v"] = entry["v"], entry["u"]
+        entry["label_beyond_u"], entry["label_beyond_v"] = \
+            entry["label_beyond_v"], entry["label_beyond_u"]
+
+
+def mutated_covers() -> list[dict]:
+    rng = random.Random(2025)
+    corpus = []
+    for _ in range(500):
+        raw = cover_to_dict(random_cover_spec(rng, rng.randint(1, 12),
+                                              move_bias=rng.choice(MOVE_BIASES)))
+        for _ in range(rng.randint(1, 3)):
+            _mutate_cover(rng, raw)
+        corpus.append(raw)
+    return corpus
+
+
+def cover_outcome(raw: dict) -> list:
+    """A cover's violations, or its quotient's vertices and edges in order
+    and its `lemma44_check` entries."""
+    try:
+        spec = cover_from_dict(raw)
+        down = quotient(spec)
+    except TreeValidationError as err:
+        return err.violations
+    return [[[v, g.value] for v, g in down.vertices.items()],
+            [[u, v, lu.value, lv.value] for u, v, lu, lv in down.edges],
+            [list(entry) for entry in lemma44_check(spec)]]
+
+
+def cover_violations_digest() -> str:
+    digest = hashlib.sha256()
+    for raw in mutated_covers():
+        digest.update(_canonical_json(cover_outcome(raw)) + b"\n")
+    return digest.hexdigest()
+
+
 def _jsj_stdout(tmp_path, subcommand: str, payload) -> tuple[int, bytes]:
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
@@ -265,6 +349,10 @@ def test_generator_states_are_unchanged():
 
 def test_violation_lists_are_unchanged():
     assert violations_digest() == VIOLATIONS_DIGEST
+
+
+def test_cover_violation_lists_and_quotients_are_unchanged():
+    assert cover_violations_digest() == COVER_VIOLATIONS_DIGEST
 
 
 def test_hand_corpus_violations():
