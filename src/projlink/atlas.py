@@ -5,11 +5,13 @@ The universe at bound B is every triple with |p|, |q| <= B and n in
 order; an independent union-find closure over a three-times-larger universe
 cross-checks the greedy normal-form strategy, and two further verifiers
 exercise the double-cover lift: relation-by-relation compatibility and
-injectivity on classes.  Every scan runs on plain (p, q, n) triples in
-lexicographic order; `TorusLink`s are built only for atlas members and for
-the violations a verifier reports.  `Atlas` and `VerificationReport` are
-named tuples; a report built without `notes` has None there.
-`Atlas.write_json` writes its document in blocks, never holding all of it.
+injectivity on classes.  The closure audit and lift injectivity each
+compare two partitions of the universe, through one helper, `_cross_check`.
+Every scan runs on plain (p, q, n) triples in lexicographic order;
+`TorusLink`s are built only for atlas members and for the violations a
+verifier reports.  `Atlas` and `VerificationReport` are named tuples; a
+report built without `notes` has None there.  `Atlas.write_json` writes
+its document in blocks, never holding all of it.
 """
 
 from __future__ import annotations
@@ -164,30 +166,34 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
     return [find(x) for x in range(len(parent))]
 
 
-def _split_pairs(groups: dict):
-    """(key, a, b) for every pair across two subgroups of a group.
-
-    `groups` maps each key to its subgroups, a dict of lists.  Groups come
-    in key order, subgroups in first-seen order, and a group with one
-    subgroup yields nothing.
-    """
-    for key in sorted(groups):
-        subgroups = list(groups[key].values())
-        for i, ga in enumerate(subgroups):
-            for gb in subgroups[i + 1:]:
-                for a in ga:
-                    for b in gb:
-                        yield key, a, b
-
-
 def _violation(space: AmbientSpace, a: tuple, b: tuple, evidence: str) -> dict:
     return {"a": link_to_dict(TorusLink(space, *a)),
             "b": link_to_dict(TorusLink(space, *b)),
             "evidence": evidence}
 
 
-def _all_pairs_report(bound: int, violations: list[dict], t0: float) -> VerificationReport:
-    """A report that counts every pair of the bounded universe as checked."""
+def _cross_check(space: AmbientSpace, bound: int, groups: dict, split, joined: str,
+                 t0: float) -> VerificationReport:
+    """Compare two partitions of the bounded universe, keyed a and b.
+
+    `groups` maps each key pair (a, b) to its triples, in first-seen order.
+    Reports every pair of triples that share a but not b, with evidence
+    split(a), then every pair that share b but not a, with evidence `joined`:
+    each partition in key order, its subgroups in first-seen order.  Counts
+    every pair of the universe as checked.
+    """
+    by_a, by_b = {}, {}
+    for (a, b), members in groups.items():
+        by_a.setdefault(a, []).append(members)
+        by_b.setdefault(b, []).append(members)
+    violations = []
+    for view, evidence in ((by_a, split), (by_b, lambda _: joined)):
+        for key in sorted(view):
+            subgroups = view[key]
+            for i, ga in enumerate(subgroups):
+                for gb in subgroups[i + 1:]:
+                    violations += [_violation(space, x, y, evidence(key))
+                                   for x in ga for y in gb]
     n = 3 * (2 * bound + 1) ** 2
     return VerificationReport(bound, n * (n - 1) // 2, tuple(violations),
                               time.perf_counter() - t0)
@@ -204,22 +210,13 @@ def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
     inner = _triples(bound)  # rejects a negative bound before the closure runs
     outer = 3 * bound
     roots = _closure_roots(space, outer)
-    by_root: dict[int, dict[tuple, list]] = {}
-    by_nf: dict[tuple, dict[int, list]] = {}
+    groups: dict[tuple, list] = {}
     for t in inner:
-        root = roots[_index(outer, *t)]
-        key = canonical(space, *t)
-        by_root.setdefault(root, {}).setdefault(key, []).append(t)
-        by_nf.setdefault(key, {}).setdefault(root, []).append(t)
-
+        groups.setdefault((roots[_index(outer, *t)], canonical(space, *t)), []).append(t)
     # Roots (positions) and keys (triples) both sort in (p, q, n) order.
-    violations = [
-        _violation(space, a, b, "union-find-equivalent but distinct normal forms")
-        for _, a, b in _split_pairs(by_root)]
-    violations += [
-        _violation(space, a, b, "equal normal forms but not union-find-equivalent")
-        for _, a, b in _split_pairs(by_nf)]
-    return _all_pairs_report(bound, violations, t0)
+    return _cross_check(space, bound, groups,
+                        lambda _: "union-find-equivalent but distinct normal forms",
+                        "equal normal forms but not union-find-equivalent", t0)
 
 
 def verify_lift_injectivity(bound: int) -> VerificationReport:
@@ -233,23 +230,16 @@ def verify_lift_injectivity(bound: int) -> VerificationReport:
     """
     t0 = time.perf_counter()
     rp3, s3 = _RP3, _SPHERE3
-    by_lift: dict[tuple, dict[tuple, list]] = {}
-    by_base: dict[tuple, dict[tuple, list]] = {}
+    groups: dict[tuple, list] = {}
     for p, q, n in _triples(bound):
-        base_key = canonical(rp3, p, q, n)
-        lift_key = canonical(s3, *_lift(p, q), n)
-        rep = [(p, q, n)]
-        by_lift.setdefault(lift_key, {}).setdefault(base_key, rep)
-        by_base.setdefault(base_key, {}).setdefault(lift_key, rep)
-
-    violations = [
-        _violation(rp3, a, b, f"isotopic lifts (S^3 class {TorusLink(s3, *key)!r}) "
-                              "but distinct RP^3 classes")
-        for key, a, b in _split_pairs(by_lift)]
-    violations += [
-        _violation(rp3, a, b, "isotopic in RP^3 but lifts in distinct S^3 classes")
-        for _, a, b in _split_pairs(by_base)]
-    return _all_pairs_report(bound, violations, t0)
+        key = (canonical(s3, *_lift(p, q), n), canonical(rp3, p, q, n))
+        if key not in groups:
+            groups[key] = [(p, q, n)]
+    return _cross_check(
+        rp3, bound, groups,
+        lambda lift_key: f"isotopic lifts (S^3 class {TorusLink(s3, *lift_key)!r}) "
+                         "but distinct RP^3 classes",
+        "isotopic in RP^3 but lifts in distinct S^3 classes", t0)
 
 
 def relation_lift_compatibility(bound: int) -> VerificationReport:

@@ -35,6 +35,15 @@ _VERIFIERS = {"lift-injectivity": 20, "confluence": 10, "relation-lift": 30}
 _SPACES = [space.value for space in AmbientSpace]
 
 
+def _diagnose(line: str) -> None:
+    """Write a line to stderr; a closed (None) or unwritable stderr loses only it."""
+    if sys.stderr is not None:  # None when the process started with fd 2 closed
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:  # devnull takes what stays buffered, so the exit flush succeeds
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _emit(payload: dict) -> None:
     try:
         text = json.dumps(payload, sort_keys=True, indent=2)
@@ -142,9 +151,8 @@ def _cmd_verify(args) -> int:
     else:
         report = atlas.relation_lift_compatibility(bound)
     _emit(report.to_dict())
-    print(f"{args.kind}: bound={bound} checked={report.checked_pairs} "
-          f"violations={len(report.violations)} "
-          f"elapsed={report.elapsed * 1000:.0f}ms", file=sys.stderr)
+    _diagnose(f"{args.kind}: bound={bound} checked={report.checked_pairs} "
+              f"violations={len(report.violations)} elapsed={report.elapsed * 1000:.0f}ms")
     return 0 if report.ok else 1
 
 
@@ -157,7 +165,7 @@ def _cmd_jsj(args) -> int:
     # ValueError covers bytes that are not UTF-8 as well as malformed JSON;
     # nesting deeper than the decoder's recursion limit raises RecursionError.
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"projlink: cannot read {args.input}: {exc}", file=sys.stderr)
+        _diagnose(f"projlink: cannot read {args.input}: {exc}")
         return 2
     try:
         if args.subcommand == "outermost":
@@ -188,7 +196,7 @@ def _cmd_jsj(args) -> int:
         _emit({"status": "ERROR",
                "violations": [{"code": c, "detail": d} for c, d in exc.violations]})
         for code, detail in exc.violations:
-            print(f"projlink: {code}: {detail}", file=sys.stderr)
+            _diagnose(f"projlink: {code}: {detail}")
         return 1
     return 0
 
@@ -200,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"verify {args.kind} runs in RP^3 and takes no --space")
     # Started with fd 1 closed, the interpreter sets sys.stdout to None.
     if sys.stdout is None:
-        print("projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed", file=sys.stderr)
+        _diagnose("projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed")
         return 2
     handlers = {
         "canon": _cmd_canon,
@@ -215,19 +223,18 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except CalculusError as exc:
-        print(f"projlink: {exc.code}: {exc}", file=sys.stderr)
+        _diagnose(f"projlink: {exc.code}: {exc}")
         return 2
     # Such as the closure of `verify confluence` at a huge --bound, or a
     # universe with more triples than the interpreter can index (OverflowError,
     # from --bound 2^62); every command prints only after its work is done.
     except (MemoryError, OverflowError):
-        print("projlink: OUT_OF_MEMORY: not enough memory for this command",
-              file=sys.stderr)
+        _diagnose("projlink: OUT_OF_MEMORY: not enough memory for this command")
         return 2
     # Stdout is a closed pipe or full; devnull takes the rest, so exit is quiet.
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"projlink: OUTPUT_ERROR: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        _diagnose(f"projlink: OUTPUT_ERROR: cannot write stdout: {exc.strerror}")
         return 2
 
 

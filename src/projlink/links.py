@@ -81,7 +81,7 @@ class InvalidN(CalculusError):
 
 
 class InvalidInput(InvalidN):
-    """A coefficient or n that is not an integer.
+    """A space that is not an AmbientSpace, or a p, q or n that is not an integer.
 
     It derives from InvalidN, which callers caught for any bad triple before
     this class existed, so those handlers still see it.
@@ -143,6 +143,8 @@ _tuple_new = tuple.__new__
 
 def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
     """Build a validated triple; n must be 0, 1 or 2."""
+    if space is not _SPHERE3 and space is not _RP3:  # by identity: no enum class read
+        raise InvalidInput(f"space must be an AmbientSpace, got {space!r}")
     # One test for the common case; the loop below orders the errors.
     if type(p) is type(q) is type(n) is int and 0 <= n <= 2:
         return _tuple_new(TorusLink, (space, p, q, n))

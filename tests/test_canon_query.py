@@ -155,22 +155,26 @@ class _Int(int):
 
 
 @pytest.mark.parametrize("args, error, message", [
-    (("x", 0, 7), InvalidInput, "p must be an integer, got 'x'"),
-    ((1.0, True, 0), InvalidInput, "p must be an integer, got 1.0"),
-    ((1, True, 0), InvalidInput, "q must be an integer, got True"),
-    ((1, 2, True), InvalidInput, "n must be an integer, got True"),
-    ((1, 2, 1.0), InvalidInput, "n must be an integer, got 1.0"),
-    ((1, 2, 3), InvalidN, "n must be 0, 1 or 2, got 3"),
-    ((1, 2, -1), InvalidN, "n must be 0, 1 or 2, got -1"),
-    ((True, "q", 3), InvalidInput, "p must be an integer, got True"),
-    ((1, None, 9), InvalidInput, "q must be an integer, got None"),
-    ((1, 2, "1"), InvalidInput, "n must be an integer, got '1'"),
-    ((1, 2, _EqRaises()), InvalidInput, "n must be an integer, got <EqRaises>"),
-    ((1, 2, _Int(3)), InvalidN, "n must be 0, 1 or 2, got 3"),
+    ((S3, "x", 0, 7), InvalidInput, "p must be an integer, got 'x'"),
+    ((S3, 1.0, True, 0), InvalidInput, "p must be an integer, got 1.0"),
+    ((S3, 1, True, 0), InvalidInput, "q must be an integer, got True"),
+    ((S3, 1, 2, True), InvalidInput, "n must be an integer, got True"),
+    ((S3, 1, 2, 1.0), InvalidInput, "n must be an integer, got 1.0"),
+    ((S3, 1, 2, 3), InvalidN, "n must be 0, 1 or 2, got 3"),
+    ((S3, 1, 2, -1), InvalidN, "n must be 0, 1 or 2, got -1"),
+    ((S3, True, "q", 3), InvalidInput, "p must be an integer, got True"),
+    ((S3, 1, None, 9), InvalidInput, "q must be an integer, got None"),
+    ((S3, 1, 2, "1"), InvalidInput, "n must be an integer, got '1'"),
+    ((S3, 1, 2, _EqRaises()), InvalidInput, "n must be an integer, got <EqRaises>"),
+    ((S3, 1, 2, _Int(3)), InvalidN, "n must be 0, 1 or 2, got 3"),
+    # A space that is not a member would make `canonical` reduce in RP^3.
+    (("s3", 0, 3, 0), InvalidInput, "space must be an AmbientSpace, got 's3'"),
+    ((None, "x", 0, 7), InvalidInput, "space must be an AmbientSpace, got None"),
+    (("rp3", 1, 2, 3), InvalidInput, "space must be an AmbientSpace, got 'rp3'"),
 ])
 def test_make_link_error_precedence(args, error, message):
     with pytest.raises(error) as exc:
-        make_link(S3, *args)
+        make_link(*args)
     assert type(exc.value) is error
     assert str(exc.value) == message
 

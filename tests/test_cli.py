@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -140,6 +141,14 @@ class TestVerify:
     def test_report_json_has_no_timing(self, capsys):
         _, out, _ = run(capsys, "verify", "confluence", "--bound", "3")
         assert "elapsed" not in out and "elapsed_ms" not in out
+
+    @pytest.mark.parametrize("kind, checked", [("lift-injectivity", 351),
+                                               ("confluence", 351), ("relation-lift", 57)])
+    def test_summary_line_on_stderr(self, capsys, kind, checked):
+        code, out, err = run(capsys, "verify", kind, "--bound", "1")
+        assert code == 0 and out["checked_pairs"] == checked
+        assert re.fullmatch(rf"{kind}: bound=1 checked={checked} violations=0 "
+                            r"elapsed=\d+ms\n", err)
 
 
 class TestJsj:
@@ -450,6 +459,44 @@ def test_no_stdout_is_exit_2_with_one_line_and_no_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
         "projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed"]
+
+
+FORBIDDEN_TREE = {"vertices": [{"id": "a", "geometry": "seifert"},
+                               {"id": "b", "geometry": "seifert"}],
+                  "edges": [{"u": "a", "v": "b", "label_beyond_u": "st",
+                             "label_beyond_v": "khb"}]}
+
+
+@BUFFERING
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "confluence", "--bound", "1"], 0),
+    (["canon", "--space", "s3", "1", "2", "7"], 2),
+    (["jsj", "outermost", "{tree}"], 1),
+], ids=["verify", "canon-invalid-n", "jsj-invalid-tree"])
+def test_unusable_stderr_loses_only_the_diagnostics(argv, code, stderr, unbuffered, tmp_path):
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(FORBIDDEN_TREE))
+    command = [sys.executable, "-m", "projlink.cli", *(a.format(tree=tree) for a in argv)]
+    env = _process_env(unbuffered)
+    usual = subprocess.run(command, capture_output=True, timeout=120, env=env)
+    if stderr == "closed":
+        # As `projlink ... 2>&-` starts it: the interpreter sets sys.stderr to None.
+        proc = subprocess.run(command, stdout=subprocess.PIPE, timeout=120, env=env,
+                              preexec_fn=lambda: os.close(2))
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "wb") as full:  # every write to stderr fails
+            proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=full,
+                                  timeout=120, env=env)
+    assert usual.stderr and b"Traceback" not in usual.stderr
+    assert usual.returncode == proc.returncode == code
+    assert proc.stdout == usual.stdout
+    if code == 2:
+        assert proc.stdout == b""
+    else:
+        json.loads(proc.stdout)  # one document, and only that
 
 
 class TestUsage:

@@ -54,7 +54,7 @@ ENUM_CLASSES = frozenset({"AmbientSpace", "Relation", "Direction", "RegionLabel"
                           "ClassificationKind"})
 HOT_FUNCTIONS = [
     (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "canonical"),
-    (atlas, "_closure_roots"), (atlas, "verify_lift_injectivity"),
+    (atlas, "_closure_roots"), (atlas, "_cross_check"), (atlas, "verify_lift_injectivity"),
     (atlas, "relation_lift_compatibility"),
     (jsj, "validate_tree"), (jsj, "potential"), (jsj, "outermost"),
     (jsj, "_involution_violations"), (jsj, "quotient"), (jsj, "lemma44_check"),

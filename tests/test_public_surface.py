@@ -7,7 +7,8 @@ instead.  `verify_chain` is kept although only tests call it: it is the
 trusted replay of the witness chains the CLI prints, the one every chain
 test checks against.  The CLI reads no triple or chain from JSON, so no
 wire reader is kept; a command that reads one adds its reader with it.
-No module of the package holds an `assert` statement either.
+No module of the package holds an `assert` statement either, and the CLI
+writes to stderr only through its one diagnostic helper.
 """
 
 import ast
@@ -75,3 +76,16 @@ def test_no_module_asserts():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], path.name
+
+
+def test_cli_writes_stderr_only_through_its_diagnostic_helper():
+    # A bare print(..., file=sys.stderr) writes to stdout when fd 2 is closed
+    # and raises when stderr is full; `_diagnose` loses the line instead.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_diagnose")
+    inside = {id(node) for node in ast.walk(helper)}
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "stderr"
+             and id(node) not in inside]
+    assert lines == []
