@@ -1,10 +1,11 @@
 """Command-line interface with stable JSON output.
 
 One JSON document per invocation on stdout (keys sorted, no timing data);
-diagnostics, including elapsed times, go to stderr.  Exit codes: 0 for
-success or a property that holds, 1 for a refuted property or a validation
-failure, 2 for usage errors, for a command that runs out of memory or
-whose --bound is too large to index, and for a stdout it cannot write.
+diagnostics, including elapsed times and argparse's usage errors, go to
+stderr through `_diagnose`.  Exit codes: 0 for success, a property that holds
+or --help, 1 for a refuted property or a validation failure, 2 for usage
+errors, for a command that runs out of memory or whose --bound is too large
+to index, and for a stdout it cannot write, --help's included.
 """
 
 from __future__ import annotations
@@ -54,34 +55,50 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    # Help goes to stdout, where main reports a failed write; the rest, usage
+    # errors, goes through _diagnose.  Subparsers are built with this class.
+    def print_help(self, file=None):
+        sys.stdout.write(self.format_help())
+        sys.stdout.flush()  # main's flush is skipped by the SystemExit that follows
+
+    def _print_message(self, message, file=None):
+        _diagnose(message.removesuffix("\n"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projlink",
         description="Torus-link calculus on S^3 and RP^3, with atlas "
                     "verification and JSJ-tree tooling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("canon", help="normal form, components, classification")
+    p.set_defaults(run=_cmd_canon)
     p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("isotopic", help="decide isotopy of two triples")
+    p.set_defaults(run=_cmd_isotopic)
     p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("triple", type=int, nargs=6, metavar="N",
                    help="p1 q1 n1 p2 q2 n2")
 
     p = sub.add_parser("lift", help="preimage in S^3 of an RP^3 triple")
+    p.set_defaults(run=_cmd_lift)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("atlas", help="enumerate isotopy classes up to a bound")
+    p.set_defaults(run=_cmd_atlas)
     p.add_argument("--space", choices=_SPACES, required=True)
     p.add_argument("--bound", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("kind", choices=sorted(_VERIFIERS))
     p.add_argument("--space", choices=_SPACES,
                    help="space for the confluence audit (default s3); "
@@ -89,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=None)
 
     p = sub.add_parser("jsj", help="JSJ-tree tooling")
+    p.set_defaults(run=_cmd_jsj)
     p.add_argument("subcommand", choices=["outermost", "cover-check"])
     p.add_argument("input", help="path to a JSON tree or cover file")
 
@@ -202,24 +220,17 @@ def _cmd_jsj(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.kind != "confluence" and args.space is not None:
-        parser.error(f"verify {args.kind} runs in RP^3 and takes no --space")
     # Started with fd 1 closed, the interpreter sets sys.stdout to None.
     if sys.stdout is None:
         _diagnose("projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed")
         return 2
-    handlers = {
-        "canon": _cmd_canon,
-        "isotopic": _cmd_isotopic,
-        "lift": _cmd_lift,
-        "atlas": _cmd_atlas,
-        "verify": _cmd_verify,
-        "jsj": _cmd_jsj,
-    }
+    parser = _build_parser()
     try:
-        code = handlers[args.command](args)
+        args = parser.parse_args(argv)  # a usage error or --help ends in SystemExit
+        if (args.command == "verify" and args.kind != "confluence"
+                and args.space is not None):
+            parser.error(f"verify {args.kind} runs in RP^3 and takes no --space")
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except CalculusError as exc:

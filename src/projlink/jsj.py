@@ -56,9 +56,8 @@ _LABELS = {label.value: label for label in RegionLabel}
 _GEOMETRIES = {geom.value: geom for geom in Geometry}
 
 
-class TreeEdge(namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")):
-    # label_beyond_x: the region on the far side of the torus from x.
-    __slots__ = ()
+# label_beyond_x: the region on the far side of the torus from x.
+TreeEdge = namedtuple("TreeEdge", "u v label_beyond_u label_beyond_v")
 
 
 # _tuple_new(TreeEdge, (u, v, lu, lv)) is the record TreeEdge(u, v, lu, lv),
@@ -78,15 +77,12 @@ class JsjTree(namedtuple("JsjTree", "vertices edges")):
         return adj
 
 
-class CoverSpec(namedtuple("CoverSpec", "cover vertex_map")):
-    __slots__ = ()  # vertex_map: the involution on vertex ids
+# vertex_map: the involution on vertex ids.
+CoverSpec = namedtuple("CoverSpec", "cover vertex_map")
 
-
-class CoverCheckEntry(namedtuple("CoverCheckEntry",
-                                 "vertex orbit outermost criterion agree")):
-    # outermost: the label criterion in the quotient; criterion: a connected
-    # preimage (orbit) and an even non-solid-torus count upstairs.
-    __slots__ = ()
+# outermost: the label criterion in the quotient; criterion: a connected
+# preimage (orbit) and an even non-solid-torus count upstairs.
+CoverCheckEntry = namedtuple("CoverCheckEntry", "vertex orbit outermost criterion agree")
 
 
 class TreeValidationError(Exception):

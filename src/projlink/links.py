@@ -115,10 +115,8 @@ class TorusLink(namedtuple("TorusLink", "space p q n")):
         return f"T[{self.space.value}]({self.p},{self.q};{self.n})"
 
 
-class RelationStep(namedtuple("RelationStep", "relation direction before after")):
-    """One application of a relation, with its endpoints."""
-
-    __slots__ = ()
+RelationStep = namedtuple("RelationStep", "relation direction before after")
+RelationStep.__doc__ = "One application of a relation, with its endpoints."
 
 
 class ClassificationKind(Enum):
@@ -127,8 +125,7 @@ class ClassificationKind(Enum):
     NON_SEIFERT_SPLIT = "NON_SEIFERT_SPLIT"
 
 
-class Classification(namedtuple("Classification", "kind detail")):
-    __slots__ = ()
+Classification = namedtuple("Classification", "kind detail")
 
 
 _EMPTY, _SEIFERT, _SPLIT = (ClassificationKind.EMPTY, ClassificationKind.SEIFERT_COMPLEMENT,

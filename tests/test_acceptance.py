@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from projlink import links
 from projlink.atlas import (
     confluence_audit,
     relation_lift_compatibility,
@@ -114,27 +115,47 @@ def test_criterion_5_termination_measure():
     checked = 0
 
     # R3 (both spaces): n = 0, p > 0, p | q
-    mask = (n == 0) & (p > 0) & (q % np.where(p > 0, p, 1) == 0)
+    r3 = mask = (n == 0) & (p > 0) & (q % np.where(p > 0, p, 1) == 0)
     after = np.abs(p[mask] - 1) + np.abs((p[mask] - 1) * (q[mask] // p[mask]))
     assert np.all(after < measure[mask])
     checked += int(mask.sum())
 
     # R4 in the sphere: n = 1, q > 0, q | p
-    mask = (n == 1) & (q > 0) & (p % np.where(q > 0, q, 1) == 0)
+    r4_s3 = mask = (n == 1) & (q > 0) & (p % np.where(q > 0, q, 1) == 0)
     after = np.abs((q[mask] - 1) * (p[mask] // q[mask])) + np.abs(q[mask] - 1)
     assert np.all(after < measure[mask])
     checked += int(mask.sum())
 
     # R4 in projective space: n = 1, k = -p + 2q > 0, k | q
     k = -p + 2 * q
-    mask = (n == 1) & (k > 0) & (q % np.where(k > 0, k, 1) == 0)
+    r4_rp3 = mask = (n == 1) & (k > 0) & (q % np.where(k > 0, k, 1) == 0)
     km, pm, qm = k[mask], p[mask], q[mask]
     after = np.abs((km - 1) * (pm // km)) + np.abs((km - 1) * (qm // km))
     assert np.all(after < measure[mask])
     checked += int(mask.sum())
 
+    # The package's forward reduction on the divisibility-rich half, in both
+    # spaces: an image exactly where a mask above applies, equal to that
+    # mask's formula, and strictly smaller in |p| + |q|.
+    rich = slice(0, 3 * third)
+    sp, sq, sk = (np.where(x > 0, x, 1) for x in (p, q, k))
+    r3_image = (p - 1, (p - 1) * (q // sp))
+    r4_images = {S3: (r4_s3, ((q - 1) * (p // sq), q - 1)),
+                 RP3: (r4_rp3, ((k - 1) * (p // sk), (k - 1) * (q // sk)))}
+    triples = list(zip(p[rich].tolist(), q[rich].tolist(), n[rich].tolist()))
+    for space, (r4, r4_image) in r4_images.items():
+        applies = (r3 | r4)[rich]
+        images = [links._reduce(space, *t) for t in triples]
+        assert [image is not None for image in images] == applies.tolist(), space
+        got = np.array([image for image in images if image is not None], dtype=np.int64)
+        for i in (0, 1):
+            want = np.where(r3, r3_image[i], r4_image[i])[rich][applies]
+            assert np.array_equal(got[:, i], want), space
+        assert np.all(np.abs(got).sum(axis=1) < measure[rich][applies]), space
+
     report(5, f"10^6 seeded triples, {checked} applicable forward reductions, "
-              f"all strictly decrease |p|+|q|")
+              f"all strictly decrease |p|+|q|; links._reduce agrees on "
+              f"{len(triples)} triples in each space")
 
 
 def test_criterion_6_relation_lift_bound_30():

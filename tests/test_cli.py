@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -434,8 +435,9 @@ def test_closed_stdout_is_exit_2_with_one_line_and_no_traceback(unbuffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @BUFFERING
-@pytest.mark.parametrize("argv", [ATLAS_25, ["canon", "--space", "rp3", "2", "1", "1"]],
-                         ids=["atlas", "canon"])
+@pytest.mark.parametrize("argv", [ATLAS_25, ["canon", "--space", "rp3", "2", "1", "1"],
+                                  ["--help"]],
+                         ids=["atlas", "canon", "help"])
 def test_full_stdout_is_exit_2_with_one_line_and_no_traceback(argv, unbuffered):
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "projlink.cli", *argv],
@@ -448,17 +450,18 @@ def test_full_stdout_is_exit_2_with_one_line_and_no_traceback(argv, unbuffered):
 
 
 @pytest.mark.parametrize("argv", [["atlas", "--space", "s3", "--bound", "2"],
-                                  ["canon", "--space", "s3", "2", "3", "0"]],
-                         ids=["atlas", "canon"])
+                                  ["canon", "--space", "s3", "2", "3", "0"], ["--help"]],
+                         ids=["atlas", "canon", "help"])
 def test_no_stdout_is_exit_2_with_one_line_and_no_traceback(argv):
     # As `projlink canon ... 1>&-` starts it: the interpreter sets sys.stdout to None.
-    proc = subprocess.run([sys.executable, "-m", "projlink.cli", *argv],
-                          stderr=subprocess.PIPE, text=True, timeout=120,
-                          preexec_fn=lambda: os.close(1), env=_process_env(False))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        "projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed"]
+    for unbuffered in (False, True):
+        proc = subprocess.run([sys.executable, "-m", "projlink.cli", *argv],
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              preexec_fn=lambda: os.close(1), env=_process_env(unbuffered))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "projlink: OUTPUT_ERROR: cannot write stdout: stdout is closed"]
 
 
 FORBIDDEN_TREE = {"vertices": [{"id": "a", "geometry": "seifert"},
@@ -473,7 +476,8 @@ FORBIDDEN_TREE = {"vertices": [{"id": "a", "geometry": "seifert"},
     (["verify", "confluence", "--bound", "1"], 0),
     (["canon", "--space", "s3", "1", "2", "7"], 2),
     (["jsj", "outermost", "{tree}"], 1),
-], ids=["verify", "canon-invalid-n", "jsj-invalid-tree"])
+    (["verify", "nonsense"], 2),
+], ids=["verify", "canon-invalid-n", "jsj-invalid-tree", "verify-usage-error"])
 def test_unusable_stderr_loses_only_the_diagnostics(argv, code, stderr, unbuffered, tmp_path):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(FORBIDDEN_TREE))
@@ -497,6 +501,36 @@ def test_unusable_stderr_loses_only_the_diagnostics(argv, code, stderr, unbuffer
         assert proc.stdout == b""
     else:
         json.loads(proc.stdout)  # one document, and only that
+
+
+# SHA-256 of the stdout, stderr and exit code of usual runs whose output
+# argparse formats: help, usage errors and the CLI's own parser.error.  That
+# text changes between Python versions and with the terminal width, so each
+# version has its own digests, taken with COLUMNS=80.
+USAGE_DIGESTS = {
+    (3, 11): {
+        "--help": "e79f39b876e9a83050898f7ca735aebed33c929136eca92591133778e3621360",
+        "canon --help": "3b0662bbcc6ed4743f4b0282dcb59135e61ed02c4fdcb528043ec9b9e142b834",
+        "verify --help": "6287b1df47642b93fb3224a91702c3c26f7e232dca94a4e19419a9cd7ab8a624",
+        "verify nonsense": "cde081b8ee494a6da122ca4e33aae13e8ceb0811f2ccd36d86c532fa82eea5cb",
+        "": "3901a971b001f31fb692e9ac7d22c530607ced3f2cc649bde08d5731fcc5896b",
+        "verify relation-lift --space rp3 --bound 1":
+            "56ad6bd086dc585301a8e94de032859ed630742a87203430d19fea49a995db69",
+    },
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in USAGE_DIGESTS,
+                    reason="no usage digests recorded for this Python version")
+@pytest.mark.parametrize("command", list(USAGE_DIGESTS[3, 11]),
+                         ids=lambda command: command or "no-arguments")
+def test_usage_and_help_bytes_are_unchanged(command):
+    for unbuffered in (False, True):
+        proc = subprocess.run([sys.executable, "-m", "projlink.cli", *command.split()],
+                              capture_output=True, timeout=120,
+                              env=dict(_process_env(unbuffered), COLUMNS="80"))
+        got = hashlib.sha256(b"\0".join([proc.stdout, proc.stderr, b"%d" % proc.returncode]))
+        assert got.hexdigest() == USAGE_DIGESTS[sys.version_info[:2]][command]
 
 
 class TestUsage:

@@ -8,7 +8,7 @@ trusted replay of the witness chains the CLI prints, the one every chain
 test checks against.  The CLI reads no triple or chain from JSON, so no
 wire reader is kept; a command that reads one adds its reader with it.
 No module of the package holds an `assert` statement either, and the CLI
-writes to stderr only through its one diagnostic helper.
+writes to stderr only through its one diagnostic helper and calls no print.
 """
 
 import ast
@@ -88,4 +88,14 @@ def test_cli_writes_stderr_only_through_its_diagnostic_helper():
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "stderr"
              and id(node) not in inside]
+    assert lines == []
+
+
+def test_cli_never_calls_print():
+    # print does nothing on a stdout closed at start (None) and skips
+    # _diagnose on stderr; every byte goes through main's writes or _diagnose.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
     assert lines == []

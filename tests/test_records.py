@@ -116,6 +116,14 @@ def test_fields_come_in_constructor_order(cls):
     assert cls.__match_args__ == FIELDS[cls]
 
 
+def test_only_records_with_methods_subclass_their_named_tuple():
+    # perfbench/tracer.py replaces Atlas.to_dict and JsjTree.adjacency on the
+    # classes themselves; a record without methods is the named tuple itself.
+    plain = {cls for cls in FIELDS if cls.__bases__ == (tuple,)}
+    assert plain == {RelationStep, Classification, TreeEdge, CoverSpec, CoverCheckEntry}
+    assert all(cls.__bases__[0].__bases__ == (tuple,) for cls in set(FIELDS) - plain)
+
+
 @RECORDS
 def test_repr(cls):
     assert repr(cls(*sample_args(cls))) == REPRS[cls]
