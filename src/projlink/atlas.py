@@ -249,6 +249,22 @@ def relation_lift_compatibility(bound: int) -> VerificationReport:
     and checks that the lifted endpoints are isotopic in S^3, recording the
     length of the longest witness chain `isotopic` would return.  On plain
     integers; the lift of each triple is reduced once, for all its moves.
+
+    The bounded scan confirms what holds for every triple: read forward, an
+    RP^3 instance x -> y of a relation lifts to the S^3 forward instance
+    lift(x) -> lift(y) of the same relation, a chain of length one.  The
+    lift is linear, lift(p, q) = (p, 2q - p), so:
+
+    - R1: lift(-p, -q) = -lift(p, q).
+    - R2: lift(-p + 2q, q) = (2q - p, p), the S^3 swap of lift(p, q).
+    - R3: the divisor is p on both sides.
+    - R4: the RP^3 divisor k = -p + 2q is the lift's second coordinate, the
+      S^3 divisor; k | p and k | q imply k | 2q - p.
+
+    A forward R3 or R4 scales (p, q) by (k - 1)/k, which commutes with the
+    linear lift.  The fixed backward preimages are forward instances too:
+    (1, 0; 0) -> (0, 0; 1) lifts to (1, -1; 0) -> (0, 0; 1) by R3, and
+    (1, 1; 1) -> (0, 0; 2) to (1, 1; 1) -> (0, 0; 2) by R4.
     """
     t0 = time.perf_counter()
     rp3, s3 = _RP3, _SPHERE3

@@ -47,6 +47,11 @@ class AmbientSpace(Enum):
     SPHERE3 = "s3"
     RP3 = "rp3"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; unlike Enum.__hash__ it runs no Python-level
+    # frame, and every memo and atlas key hashes its link's space.
+    __hash__ = object.__hash__
+
 
 class Relation(Enum):
     R1 = "R1"
@@ -277,9 +282,20 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
 
     Three blocks, each run at most once: R3 at n = 0, then R4 at n = 1, then
     the least (p, q) over the R1/R2 orbit s, R1 s, R2 s, R1 R2 s (R2 only
-    at n != 1).  A reduction applies to the orbit member with the least
-    result (p, q).  Ties, in a reduction or in the minimum, go to the member
-    first in that order, so an R2 s equal to +-s changes nothing.
+    at n != 1).  A reduction applies to the first member in that order that
+    reduces; the minimum keeps +-s unless +-R2 s is strictly less.  Neither
+    choice can decide a tie between distinct pairs:
+
+    - R3: only the member +-s or +-R2 s with a positive first coordinate can
+      reduce.  In S^3 both reduce only when |p| divides q and |q| divides p,
+      so |p| = |q|, and the two members are the same pair.  In RP^3, with
+      q = mp, both reduce only when |2m - 1| divides m; the two are coprime,
+      so m is 0 or 1, and R2 s is (-p, 0) or (p, p), again +-s.
+    - Minimum: the first coordinates are -|p| and -|R2 s first coordinate|.
+      In S^3 they are equal only when |p| = |q|, where R2 s is +-s; in
+      RP^3 only when -p + 2q = +-p, so q = p or q = 0, where R2 s is s or
+      (-p, 0).  Equal first coordinates thus mean equal pairs.
+
     When `moves` is a list, the moves applied are appended to it in order.
     Raises CalculusError if a reduction fails to shrink |p| + |q|.  The
     arguments are not validated: build triples from outside input with
@@ -290,11 +306,10 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
         # +-(a, b), only the member with a > 0 can reduce.
         a, b, path = (p, q, ()) if p > 0 else (-p, -q, _PATH_R1)
         best = _reduce(space, a, b, 0)
-        c, d = _swap(space, p, q)
-        c, d, swapped = (c, d, _PATH_R2) if c > 0 else (-c, -d, _PATH_R1_R2)
-        other = _reduce(space, c, d, 0)
-        if other is not None and (best is None or other < best):
-            best, a, b, path = other, c, d, swapped
+        if best is None:
+            c, d = _swap(space, p, q)
+            a, b, path = (c, d, _PATH_R2) if c > 0 else (-c, -d, _PATH_R1_R2)
+            best = _reduce(space, a, b, 0)
         if best is not None:
             if abs(best[0]) + abs(best[1]) >= abs(a) + abs(b):
                 raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
@@ -319,7 +334,7 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
     if n != 1:
         c, d = _swap(space, p, q)
         c, d, swapped = (-c, -d, _PATH_R1_R2) if c > 0 or not c and d > 0 else (c, d, _PATH_R2)
-        if c < a or c == a and d < b:
+        if c < a:
             a, b, path = c, d, swapped
     if moves is not None:
         moves += path
@@ -338,8 +353,18 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 # Interactive callers ask about the same triples again and again; scans of
 # the atlas use `canonical` and never reach this memo.  Hits take no lock; two
 # threads evicting the same entry unlocked would raise KeyError and overfill it.
+# The bound is measured on the benchmark's query-mix, seeds 1-4: the share of
+# memo reads that hit over 150,000 queries (a 65,536 bound is not reached by
+# then), and the tracemalloc size of a memo filled from empty:
+#
+#   bound     4,096  8,192  16,384  32,768  65,536
+#   hits      0.537  0.584   0.620   0.642   0.659
+#   MiB         2.4    4.9     9.9    20.3    41.0
+#
+# 16,384 keeps most of the hits in a quarter of the memory, and the raw time
+# of the same queries did not differ between 16,384 and 65,536 (README).
 _MEMO: OrderedDict[TorusLink, tuple[TorusLink, tuple[RelationStep, ...]]] = OrderedDict()
-_MEMO_SIZE = 1 << 16
+_MEMO_SIZE = 1 << 14
 _MEMO_LOCK = allocate_lock()
 
 

@@ -21,7 +21,17 @@ from projlink.atlas import (
     relation_lift_compatibility,
     verify_lift_injectivity,
 )
-from projlink.links import AmbientSpace, TorusLink, canonical, make_link, normal_form
+from projlink.links import (
+    AmbientSpace,
+    Direction,
+    TorusLink,
+    _MOVES,
+    _lift,
+    _move,
+    canonical,
+    make_link,
+    normal_form,
+)
 
 S3 = AmbientSpace.SPHERE3
 RP3 = AmbientSpace.RP3
@@ -239,6 +249,25 @@ class TestRelationLiftCompatibility:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             relation_lift_compatibility(-1)
+
+    def test_every_instance_lifts_to_one_forward_s3_move(self):
+        # relation_lift_compatibility's docstring proves it for every triple:
+        # each RP^3 instance, backward ones read forward, lifts to the S^3
+        # forward instance of the same relation.
+        def lifted(t):
+            return (*_lift(t[0], t[1]), t[2])
+
+        instances = 0
+        for p, q, n in _triples(60):
+            for relation, direction in _MOVES:
+                image = _move(RP3, relation, direction, p, q, n)
+                if image is None:
+                    continue
+                instances += 1
+                x, y = ((p, q, n), image) if direction is Direction.FORWARD else (image, (p, q, n))
+                assert _move(S3, relation, Direction.FORWARD, *lifted(x)) == lifted(y), \
+                    (relation, direction, x, y)
+        assert instances == 74_971
 
     # Recorded from the implementation that lifted each triple once per move.
     @pytest.mark.parametrize("bound, checked, longest", [

@@ -162,15 +162,29 @@ def test_a_full_memo_evicts_the_entry_inserted_first(memo, monkeypatch):
 
 
 def test_the_memo_bound_is_a_constant():
-    assert links._MEMO_SIZE == 65_536
+    assert links._MEMO_SIZE == 16_384
+
+
+def test_hashing_a_memo_key_runs_no_python_frame():
+    # Every memo get, setdefault and eviction check hashes a TorusLink, and
+    # so its space; Enum.__hash__ is a Python function, object.__hash__ is not.
+    events = []
+    link = make_link(RP3, 12, 36, 1)
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        hash(link)
+    finally:
+        sys.setprofile(None)
+    assert "call" not in events and "c_call" in events
 
 
 def test_a_full_memo_inserts_as_fast_as_an_empty_one(memo):
     # A dict evicting with `del memo[next(iter(memo))]` scans every slot
     # deleted before its first entry, so its k-th eviction costs O(k) until
     # the dict is rebuilt: 20,000 evicting inserts took 9-15 times as long
-    # as 20,000 inserts into an empty memo.  `OrderedDict.popitem` took
-    # 0.8-1.8 times as long.
+    # as 20,000 inserts into an empty memo at a 65,536 bound, and 5.8-6.5
+    # times at 16,384, where a dict is rebuilt sooner.  `OrderedDict.popitem`
+    # took 0.8-1.8 times as long.
     fill = [make_link(S3, p, 1, 0) for p in range(links._MEMO_SIZE)]
     new = [make_link(RP3, p, 1, 0) for p in range(20_000)]
 
