@@ -22,6 +22,7 @@ from itertools import product
 
 from .links import (
     AmbientSpace,
+    InvalidInput,
     TorusLink,
     _MOVES,
     _RP3,
@@ -110,8 +111,15 @@ def _triples(bound: int):
     return product(span, span, (0, 1, 2))
 
 
+def _check_space(space: AmbientSpace) -> None:
+    """Raise InvalidInput, as make_link does, unless space is an AmbientSpace."""
+    if space is not _SPHERE3 and space is not _RP3:
+        raise InvalidInput(f"space must be an AmbientSpace, got {space!r}")
+
+
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
     """Partition the bounded universe by normal form, in normal-form order."""
+    _check_space(space)  # the scan reads plain triples, so no make_link checks it
     buckets: dict[tuple[int, int, int], list[TorusLink]] = {}
     for p, q, n in _triples(bound):
         buckets.setdefault(canonical(space, p, q, n), []).append(TorusLink(space, p, q, n))
@@ -207,6 +215,7 @@ def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
     partitions disagree, in either direction.
     """
     t0 = time.perf_counter()
+    _check_space(space)
     inner = _triples(bound)  # rejects a negative bound before the closure runs
     outer = 3 * bound
     roots = _closure_roots(space, outer)

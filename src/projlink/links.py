@@ -27,9 +27,9 @@ shrink |p| + |q|), then the lexicographic minimum over the final orbit.
 `normal_form` replays the moves `canonical` applied into a witness chain,
 so every positive verdict carries a replayable certificate; callers that
 only compare classes, such as the atlas and its verifiers, use `canonical`
-and build no chains.  An `OrderedDict` memoises chains, first in first
-out with O(1) eviction, and `isotopic` reads it, so it reduces each side at
-most once.
+and build no chains.  A bounded `functools.lru_cache` keeps each link's
+normal form and chain, for either verdict; `isotopic` and `classify` read
+it, so each side is reduced at most once.
 
 The records are named tuples, each equal to the plain tuple of its fields.
 A witness chain is the plain tuple of its steps.
@@ -37,9 +37,9 @@ A witness chain is the plain tuple of its steps.
 
 from __future__ import annotations
 
-from _thread import allocate_lock
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from enum import Enum
+from functools import lru_cache
 from math import gcd
 
 
@@ -49,7 +49,7 @@ class AmbientSpace(Enum):
 
     # Members are singletons that compare by identity, so the identity hash
     # agrees with equality; unlike Enum.__hash__ it runs no Python-level
-    # frame, and every memo and atlas key hashes its link's space.
+    # frame, and every cache and atlas key hashes its link's space.
     __hash__ = object.__hash__
 
 
@@ -234,8 +234,13 @@ def apply_relation(
     """Apply one move, returning the step with its computed endpoint.
 
     R1 and R2 are their own inverses, so both directions are accepted for
-    them.  Raises NotApplicable when a side-condition fails.
+    them.  Raises InvalidInput for a relation or direction that is not a
+    member of its enum, and NotApplicable when a side-condition fails.
     """
+    # By identity, as in make_link; `_move` reads a non-member as R4 or backward.
+    if (relation is not _R1 and relation is not _R2 and relation is not _R3
+            and relation is not _R4 or direction is not _FORWARD and direction is not _BACKWARD):
+        raise InvalidInput(f"not a move: {relation!r} {direction!r}")
     image = _move(link.space, relation, direction, link.p, link.q, link.n)
     if image is None:
         raise NotApplicable(
@@ -257,8 +262,12 @@ def verify_chain(chain: tuple[RelationStep, ...], start: TorusLink | None = None
     if end is not None and chain[-1].after != end:
         return False
     for i, step in enumerate(chain):
-        source, target = ((step.before, step.after) if step.direction is _FORWARD
-                          else (step.after, step.before))
+        if step.direction is _FORWARD:
+            source, target = step.before, step.after
+        elif step.direction is _BACKWARD:
+            source, target = step.after, step.before
+        else:
+            return False
         try:
             if apply_relation(source, step.relation).after != target:
                 return False
@@ -347,74 +356,54 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     The representative is `canonical` of the triple; the chain replays the
     moves `canonical` applied, one `apply_relation` each.
     """
-    return _MEMO.get(link) or _memoise(link)
+    return _normal_form(link)
 
 
 # Interactive callers ask about the same triples again and again; scans of
-# the atlas use `canonical` and never reach this memo.  Hits take no lock; two
-# threads evicting the same entry unlocked would raise KeyError and overfill it.
-# The bound is measured on the benchmark's query-mix, seeds 1-4: the share of
-# memo reads that hit over 150,000 queries (a 65,536 bound is not reached by
-# then), and the tracemalloc size of a memo filled from empty:
+# the atlas use `canonical` and never reach this cache.  `lru_cache` is
+# bounded and safe to share between threads, and it keeps the sides of
+# negative verdicts too.  The bound is measured on the benchmark's
+# query-mix, seeds 1-3: `canonical` calls per query over 150,000 queries,
+# the tracemalloc size of a full cache, and the peak RSS after 20,000
+# queries, where the benchmark reads it:
 #
-#   bound     4,096  8,192  16,384  32,768  65,536
-#   hits      0.537  0.584   0.620   0.642   0.659
-#   MiB         2.4    4.9     9.9    20.3    41.0
-#
-# 16,384 keeps most of the hits in a quarter of the memory, and the raw time
-# of the same queries did not differ between 16,384 and 65,536 (README).
-_MEMO: OrderedDict[TorusLink, tuple[TorusLink, tuple[RelationStep, ...]]] = OrderedDict()
-_MEMO_SIZE = 1 << 14
-_MEMO_LOCK = allocate_lock()
-
-
-def _memoise(link: TorusLink, moves: list[Relation] | None = None
-             ) -> tuple[TorusLink, tuple[RelationStep, ...]]:
-    """Memoise the chain replaying `moves` (`canonical`'s, computed if None).
-
-    A full memo evicts its first entry; an entry made meanwhile is kept.
-    """
-    if moves is None:
-        moves = []
-        canonical(link.space, link.p, link.q, link.n, moves)
+#   maxsize                 4,096  8,192  16,384
+#   reductions per query    0.700  0.636   0.576
+#   MiB                       2.6    5.3    10.8
+#   VmHWM                    21.5   24.4    27.4 MB
+@lru_cache(maxsize=1 << 13)
+def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
+    moves = []
+    canonical(*link, moves)
     steps = []
     cur = link
     for relation in moves:
         step = apply_relation(cur, relation)
         steps.append(step)
         cur = step.after
-    with _MEMO_LOCK:
-        if len(_MEMO) >= _MEMO_SIZE and link not in _MEMO:
-            _MEMO.popitem(last=False)  # O(1), unlike a dict's del d[next(iter(d))]
-        return _MEMO.setdefault(link, (cur, tuple(steps)))
+    return cur, tuple(steps)
 
 
 def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...] | None]:
     """Decide isotopy via normal forms; a positive verdict carries a chain.
 
-    The chain runs a -> normal form -> b and replays successfully.  Negative
+    Each side's normal form and chain come from the cache `normal_form`
+    reads, so a side is reduced at most once, whatever the verdict.  The
+    chain runs a -> normal form -> b and replays successfully.  Negative
     verdicts rest on the completeness of the four relations together with
     the empirical confluence audit of the atlas module.
     """
     if a.space is not b.space:
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
-    # A memoised side compares its stored form, the other runs `canonical` once
-    # (equal sides share one memoised run); a positive verdict replays those
-    # moves, a negative one memoises nothing.
-    memo_a, memo_b = _MEMO.get(a), _MEMO.get(b)
-    if memo_b is None and b == a:
-        memo_a = memo_b = _memoise(a)
-    moves_a, moves_b = [], []
-    if ((memo_a[0][1:] if memo_a else canonical(*a, moves_a))
-            != (memo_b[0][1:] if memo_b else canonical(*b, moves_b))):
+    nf_a, chain_a = _normal_form(a)
+    nf_b, chain_b = _normal_form(b)
+    if nf_a != nf_b:
         return False, None
-    memo_a = memo_a or _memoise(a, moves_a)
-    memo_b = memo_b or _memoise(b, moves_b)
     # b's chain holds forward moves only; run backward, R1 and R2 stay forward.
-    return True, memo_a[1] + tuple(
+    return True, chain_a + tuple(
         _tuple_new(RelationStep, (relation, _FORWARD if relation is _R1 or relation is _R2
                                   else _BACKWARD, after, before))
-        for relation, _, before, after in reversed(memo_b[1]))
+        for relation, _, before, after in reversed(chain_b))
 
 
 def _lift(p: int, q: int) -> tuple[int, int]:
@@ -434,12 +423,12 @@ def classify(link: TorusLink) -> Classification:
 
     The split families are T(0, c; 0) with c >= 2 in either space and
     T(2m, m; 1) with m = c - 1 >= 1 in RP^3, c the component count.  The
-    link's normal form comes from the memo `normal_form` reads; the members'
+    link's normal form comes from the cache `normal_form` reads; the members'
     are in closed form: in S^3 T(0, c; 0) -> (1 - c, 0; 1) by R2, R3 and R1
     (R4's k = q = 0); in RP^3 T(0, c; 0) -> (-2c, -c; 0) by R1 R2 (R3's k = 2c
     does not divide c) and T(2m, m; 1) -> (-2m, -m; 1) by R1 (R4's k = 0).
     """
-    nf = (_MEMO.get(link) or _memoise(link))[0][1:]
+    nf = _normal_form(link)[0][1:]
     if nf == (0, 0, 0):
         return _EMPTY_LINK
     c = component_count(link)

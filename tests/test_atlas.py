@@ -24,6 +24,7 @@ from projlink.atlas import (
 from projlink.links import (
     AmbientSpace,
     Direction,
+    InvalidInput,
     TorusLink,
     _MOVES,
     _lift,
@@ -138,6 +139,11 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError):
             enumerate_classes(S3, -1)
 
+    def test_a_space_that_is_not_an_ambient_space_is_rejected(self):
+        # Not RP^3's 48 classes under another name: S^3 has 31 at bound 3.
+        with pytest.raises(InvalidInput):
+            enumerate_classes("s3", 3)
+
 
 class TestClosurePartition:
     @pytest.mark.parametrize("space", [S3, RP3])
@@ -200,6 +206,10 @@ class TestConfluenceAudit:
         # The closure at 3 * bound would hold about 10^14 positions.
         with pytest.raises(ValueError):
             confluence_audit(S3, -10**6)
+
+    def test_a_space_that_is_not_an_ambient_space_is_rejected(self):
+        with pytest.raises(InvalidInput):
+            confluence_audit("s3", 3)
 
     def test_report_is_deterministic(self):
         a = confluence_audit(RP3, 4).to_dict()

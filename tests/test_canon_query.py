@@ -130,9 +130,10 @@ def test_classify_after_normal_form_reduces_nothing(monkeypatch, space, triple):
         return canonical(*args)
 
     monkeypatch.setattr(links, "canonical", counting)
-    size = len(links._MEMO)
+    before = links._normal_form.cache_info()
     classify(link)
-    assert len(links._MEMO) == size and link in links._MEMO
+    after = links._normal_form.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
     assert calls == []
 
 

@@ -16,9 +16,11 @@ import pytest
 from projlink.links import (
     AmbientSpace,
     Direction,
+    InvalidInput,
     Relation,
     RelationStep,
     TorusLink,
+    apply_relation,
     isotopic,
     make_link,
     verify_chain,
@@ -127,6 +129,31 @@ def test_empty_chain_needs_equal_endpoints():
     assert not verify_chain(empty, A, B)
     assert verify_chain(empty, A, A)
     assert verify_chain(empty, A) and verify_chain(empty, None, B) and verify_chain(empty)
+
+
+# A step whose relation or direction is not a member of its enum is not a
+# move, even where the R4 it would be read as replays: R4 takes (0, 1; 1)
+# to (0, 0; 2) in S^3.
+R4_FROM, R4_TO = make_link(S3, 0, 1, 1), make_link(S3, 0, 0, 2)
+
+
+@pytest.mark.parametrize("relation", ["R4", "R1", None])
+def test_a_relation_that_is_not_a_member_is_rejected(relation):
+    assert verify_chain((RelationStep(Relation.R4, FWD, R4_FROM, R4_TO),), R4_FROM, R4_TO)
+    step = RelationStep(relation, FWD, R4_FROM, R4_TO)
+    assert not verify_chain((step,), R4_FROM, R4_TO)
+
+
+def test_a_direction_that_is_not_a_member_is_rejected():
+    assert verify_chain((RelationStep(Relation.R4, BWD, R4_TO, R4_FROM),), R4_TO, R4_FROM)
+    step = RelationStep(Relation.R4, "sideways", R4_TO, R4_FROM)
+    assert not verify_chain((step,), R4_TO, R4_FROM)
+
+
+@pytest.mark.parametrize("move", [("R1", FWD), (Relation.R1, "fwd")])
+def test_apply_relation_rejects_what_is_not_a_move(move):
+    with pytest.raises(InvalidInput):
+        apply_relation(R4_FROM, *move)
 
 
 def _corrupt(rng: random.Random, steps: tuple, b: TorusLink):

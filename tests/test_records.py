@@ -38,7 +38,6 @@ from projlink.links import (
     Relation,
     RelationStep,
     TorusLink,
-    _MEMO,
     canonical,
     isotopic,
     make_link,
@@ -195,7 +194,7 @@ def test_torus_link_is_a_dict_key():
 def test_torus_link_is_the_normal_form_cache_key(monkeypatch):
     link = make_link(S3, 12, 18, 0)
     first = normal_form(link)
-    size = len(_MEMO)
+    size = links._normal_form.cache_info().currsize
     calls = []
 
     def counting(*args):
@@ -205,7 +204,7 @@ def test_torus_link_is_the_normal_form_cache_key(monkeypatch):
     monkeypatch.setattr(links, "canonical", counting)
     again = normal_form(TorusLink(S3, 12, 18, 0))
     assert again is first
-    assert len(_MEMO) == size and calls == []
+    assert links._normal_form.cache_info().currsize == size and calls == []
 
 
 # ---------------------------------------------------------------------------
