@@ -22,11 +22,11 @@ from itertools import product
 
 from .links import (
     AmbientSpace,
-    InvalidInput,
     TorusLink,
     _MOVES,
     _RP3,
     _SPHERE3,
+    _check_space,
     _lift,
     _move,
     _reduce,
@@ -109,12 +109,6 @@ def _triples(bound: int):
         raise ValueError(f"bound must be >= 0, got {bound}")
     span = range(-bound, bound + 1)
     return product(span, span, (0, 1, 2))
-
-
-def _check_space(space: AmbientSpace) -> None:
-    """Raise InvalidInput, as make_link does, unless space is an AmbientSpace."""
-    if space is not _SPHERE3 and space is not _RP3:
-        raise InvalidInput(f"space must be an AmbientSpace, got {space!r}")
 
 
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:

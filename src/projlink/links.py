@@ -21,23 +21,25 @@ integers; `apply_relation` reads it, and the atlas's relation-lift verifier
 runs it over `_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
-three straight-line blocks: an R3 reduction (n = 0 -> 1), an R4 reduction
-(n = 1 -> 2), each on the best member of the R1/R2 orbit (R3/R4 always
-shrink |p| + |q|), then the lexicographic minimum over the final orbit.
-`normal_form` replays the moves `canonical` applied into a witness chain,
-so every positive verdict carries a replayable certificate; callers that
-only compare classes, such as the atlas and its verifiers, use `canonical`
-and build no chains.  A bounded `functools.lru_cache` keeps each link's
-normal form and chain, for either verdict; `isotopic` and `classify` read
-it, so each side is reduced at most once.
+three straight-line blocks: an R3 reduction (n = 0 -> 1) and an R4
+reduction (n = 1 -> 2), each on the best member of the R1/R2 orbit, then
+the lexicographic minimum over the final orbit.  It raises nothing, since
+R3 and R4 always shrink |p| + |q|.  `normal_form` replays its moves into a
+witness chain, so every positive verdict carries a certificate; callers
+that only compare classes, such as the atlas, use `canonical` and build no
+chains.  A bounded `functools.lru_cache` keeps each link's normal form and
+chain, for either verdict; `isotopic` and `classify` read it, so each side
+is reduced at most once.
 
-The records are named tuples, each equal to the plain tuple of its fields.
-A witness chain is the plain tuple of its steps.
+The records are named tuples, each equal to the plain tuple of its fields,
+and a witness chain is the plain tuple of its steps.  `verify_chain` replays
+any iterable of such tuples in one pass and returns a verdict for anything.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
 from functools import lru_cache
 from math import gcd
@@ -143,10 +145,14 @@ _SEIFERT_LINK = Classification(_SEIFERT, "complement admits a Seifert fibration"
 _tuple_new = tuple.__new__
 
 
-def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
-    """Build a validated triple; n must be 0, 1 or 2."""
+def _check_space(space: AmbientSpace) -> None:
     if space is not _SPHERE3 and space is not _RP3:  # by identity: no enum class read
         raise InvalidInput(f"space must be an AmbientSpace, got {space!r}")
+
+
+def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
+    """Build a validated triple; n must be 0, 1 or 2."""
+    _check_space(space)
     # One test for the common case; the loop below orders the errors.
     if type(p) is type(q) is type(n) is int and 0 <= n <= 2:
         return _tuple_new(TorusLink, (space, p, q, n))
@@ -233,49 +239,46 @@ def apply_relation(
 ) -> RelationStep:
     """Apply one move, returning the step with its computed endpoint.
 
-    R1 and R2 are their own inverses, so both directions are accepted for
-    them.  Raises InvalidInput for a relation or direction that is not a
-    member of its enum, and NotApplicable when a side-condition fails.
+    R1 and R2 are involutions and accept either direction.  The link may be
+    any 4-tuple.  Raises InvalidInput for a relation, direction or space
+    outside its enum, and NotApplicable when a side-condition fails.
     """
     # By identity, as in make_link; `_move` reads a non-member as R4 or backward.
     if (relation is not _R1 and relation is not _R2 and relation is not _R3
             and relation is not _R4 or direction is not _FORWARD and direction is not _BACKWARD):
         raise InvalidInput(f"not a move: {relation!r} {direction!r}")
-    image = _move(link.space, relation, direction, link.p, link.q, link.n)
+    space, p, q, n = link
+    _check_space(space)
+    image = _move(space, relation, direction, p, q, n)
     if image is None:
         raise NotApplicable(
             f"{relation.value} {direction.value} does not apply to {link!r}")
     return _tuple_new(RelationStep, (relation, direction, link,
-                                     _tuple_new(TorusLink, (link.space, *image))))
+                                     _tuple_new(TorusLink, (space, *image))))
 
 
-def verify_chain(chain: tuple[RelationStep, ...], start: TorusLink | None = None,
+def verify_chain(chain: Iterable[RelationStep], start: TorusLink | None = None,
                  end: TorusLink | None = None) -> bool:
-    """Replay every step and check composability and endpoints.
+    """True when every step replays and the steps join from `start` to `end`.
 
-    A backward step replays as the forward move from `after` to `before`.
+    Steps are 4-tuples `relation, direction, before, after` in any iterable,
+    links too; a backward step replays forward from `after` to `before`.
     """
-    if not chain:
-        return start is None or end is None or start == end
-    if start is not None and chain[0].before != start:
-        return False
-    if end is not None and chain[-1].after != end:
-        return False
-    for i, step in enumerate(chain):
-        if step.direction is _FORWARD:
-            source, target = step.before, step.after
-        elif step.direction is _BACKWARD:
-            source, target = step.after, step.before
-        else:
-            return False
-        try:
-            if apply_relation(source, step.relation).after != target:
+    cur = start
+    try:
+        for relation, direction, before, after in chain:
+            if cur is not None and before != cur:
                 return False
-        except CalculusError:
-            return False
-        if i and chain[i - 1].after != step.before:
-            return False
-    return True
+            cur = after
+            if direction is _BACKWARD:
+                before, after = after, before
+            elif direction is not _FORWARD:
+                return False
+            if apply_relation(before, relation).after != after:
+                return False
+    except Exception:  # a chain that cannot be replayed certifies nothing
+        return False
+    return cur is None or end is None or cur == end
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +308,11 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
       RP^3 only when -p + 2q = +-p, so q = p or q = 0, where R2 s is s or
       (-p, 0).  Equal first coordinates thus mean equal pairs.
 
-    When `moves` is a list, the moves applied are appended to it in order.
-    Raises CalculusError if a reduction fails to shrink |p| + |q|.  The
-    arguments are not validated: build triples from outside input with
-    make_link first.
+    No reduction can fail to shrink |p| + |q|, so none is guarded: `_reduce`
+    gives an image only when k > 0 divides p and q; k is p (R3), q or
+    -p + 2q (R4), so (p, q) != (0, 0), and (k - 1)/k (p, q) is smaller.
+    `canonical` raises nothing and validates nothing (build triples from
+    outside input with make_link); a list `moves` gets the moves applied.
     """
     if n == 0:
         # R3's divisor is the member's own first coordinate: of each pair
@@ -320,21 +324,15 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
             a, b, path = (c, d, _PATH_R2) if c > 0 else (-c, -d, _PATH_R1_R2)
             best = _reduce(space, a, b, 0)
         if best is not None:
-            if abs(best[0]) + abs(best[1]) >= abs(a) + abs(b):
-                raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
             if moves is not None:
                 moves += (*path, _R3)
             (p, q), n = best, 1
     if n == 1:
         # R2 does not apply, and R4's divisor is linear: at most one of +-s reduces.
-        a, b, path = p, q, ()
-        best = _reduce(space, p, q, 1)
+        best, path = _reduce(space, p, q, 1), ()
         if best is None:
-            a, b, path = -p, -q, _PATH_R1
-            best = _reduce(space, a, b, 1)
+            best, path = _reduce(space, -p, -q, 1), _PATH_R1
         if best is not None:
-            if abs(best[0]) + abs(best[1]) >= abs(a) + abs(b):
-                raise CalculusError(f"reduction of {(p, q, n)} does not shrink |p| + |q|")
             if moves is not None:
                 moves += (*path, _R4)
             (p, q), n = best, 2
@@ -373,6 +371,7 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 #   VmHWM                    21.5   24.4    27.4 MB
 @lru_cache(maxsize=1 << 13)
 def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
+    _check_space(link[0])  # canonical reads any other space as RP^3
     moves = []
     canonical(*link, moves)
     steps = []

@@ -21,7 +21,6 @@ from projlink.atlas import confluence_audit
 from projlink.cli import main
 from projlink.links import (
     AmbientSpace,
-    CalculusError,
     Relation,
     TorusLink,
     canonical,
@@ -69,17 +68,6 @@ def test_moves_replay_to_the_chain():
     assert canonical(RP3, 3, 3, 0, moves) == (-1, -1, 2)
     _, chain = normal_form(link)
     assert moves == [s.relation for s in chain]
-
-
-@pytest.mark.parametrize("space", [S3, RP3])
-@pytest.mark.parametrize("site", [0, 1])  # the n of R3 and of R4
-def test_reduction_that_does_not_shrink_is_an_error(monkeypatch, space, site):
-    def grow(_, p, q, n):
-        return (abs(p) + 1, abs(q)) if n == site else None
-
-    monkeypatch.setattr(links, "_reduce", grow)
-    with pytest.raises(CalculusError, match=rf"reduction of \(2, 4, {site}\) does not shrink"):
-        canonical(space, 2, 4, site)
 
 
 # ---------------------------------------------------------------------------

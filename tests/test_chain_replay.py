@@ -6,6 +6,9 @@ only the replay of the tampered step can reject them.  The digest was
 recorded from the implementation that built the reversed half of a chain
 with separate reverse and concatenate helpers and replayed each step in a
 helper of its own.
+
+`verify_chain` is total: a chain of plain tuples, or any iterable, gets the
+verdict its records would, and an element that is not a step gets False.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from projlink.links import (
     apply_relation,
     isotopic,
     make_link,
+    normal_form,
     verify_chain,
 )
 
@@ -202,3 +206,63 @@ def isotopic_digest(space: AmbientSpace, bound: int = 6) -> str:
 @pytest.mark.parametrize("space", [S3, RP3])
 def test_isotopic_chains_and_corrupted_verdicts_are_unchanged(space):
     assert isotopic_digest(space) == ISOTOPIC_DIGESTS_BOUND_6[space]
+
+
+# ---------------------------------------------------------------------------
+# The replay is total: plain tuples, any iterable, and a verdict for anything.
+
+
+def plain(chain) -> tuple:
+    """The chain with every step and endpoint a plain tuple."""
+    return tuple((relation, direction, tuple(before), tuple(after))
+                 for relation, direction, before, after in chain)
+
+
+def test_a_plain_tuple_step_replays():
+    assert verify_chain(((Relation.R4, FWD, R4_FROM, R4_TO),), R4_FROM, R4_TO)
+    assert verify_chain(plain(chain_steps()), tuple(A), tuple(B))
+    assert apply_relation((S3, 1, 3, 0), Relation.R2).after == (S3, 3, 1, 0)
+
+
+@pytest.mark.parametrize("space", [S3, RP3])
+def test_plain_tuple_chains_get_the_verdict_of_their_records(space):
+    rng = random.Random(f"plain {space.value}")
+    span = range(-6, 7)
+    classes: dict = {}
+    for link in (TorusLink(space, p, q, n) for p in span for q in span for n in (0, 1, 2)):
+        classes.setdefault(normal_form(link)[0], []).append(link)
+    members = [m for m in classes.values() if len(m) > 1]
+    verdicts = set()
+    for _ in range(300):
+        a, b = rng.sample(rng.choice(members), 2)
+        ok, chain = isotopic(a, b)
+        assert ok
+        _, corrupted, corrupted_end = _corrupt(rng, chain, b)
+        for steps, end in ((chain, b), (corrupted, corrupted_end)):
+            verdict = verify_chain(steps, a, end)
+            assert verify_chain(plain(steps), tuple(a), tuple(end)) is verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_a_chain_may_be_a_generator():
+    steps = chain_steps()
+    assert verify_chain((step for step in steps), A, B)
+    assert verify_chain(iter(plain(steps)), A, B)
+    assert not verify_chain((step for step in steps[1:]), A, B)
+    assert not verify_chain((step for step in steps), A, A)
+
+
+@pytest.mark.parametrize("element", [
+    None, 7, (Relation.R4, FWD, R4_FROM), (Relation.R4, FWD, R4_FROM, R4_TO, R4_TO),
+    (Relation.R4, FWD, None, R4_TO), (Relation.R4, BWD, R4_TO, None),
+    (Relation.R4, FWD, ("s3", 0, 1, 1), ("s3", 0, 0, 2)),
+], ids=["None", "int", "3-tuple", "5-tuple", "before-None", "after-None", "str-space"])
+def test_an_element_that_is_not_a_step_gives_false(element):
+    assert verify_chain((element,)) is False
+    assert verify_chain(chain_steps()[:1] + [element]) is False
+
+
+@pytest.mark.parametrize("chain", [None, 7])
+def test_a_chain_that_is_not_iterable_gives_false(chain):
+    assert verify_chain(chain, A, B) is False

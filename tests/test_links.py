@@ -315,3 +315,12 @@ class TestInvalidInput:
             make_link(S3, 1, 1, 3)
         assert not isinstance(exc.value, InvalidInput)
         assert exc.value.code == "INVALID_N"
+
+    # A TorusLink built without make_link: the kernel reads a space that is
+    # not an AmbientSpace as RP^3, and TorusLink's repr cannot print it.
+    @pytest.mark.parametrize("query", [normal_form, classify,
+                                       lambda link: apply_relation(link, Relation.R2)],
+                             ids=["normal_form", "classify", "apply_relation"])
+    def test_a_hand_built_link_in_no_space_is_invalid_input(self, query):
+        with pytest.raises(InvalidInput, match="space must be an AmbientSpace, got 's3'"):
+            query(TorusLink("s3", 0, 3, 0))
