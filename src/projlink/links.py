@@ -17,14 +17,14 @@ a backward move reads it off the image as k - 1 and scales by (k + 1)/k.  The
 images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
 take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
-integers; `apply_relation` reads it, and the atlas's relation-lift verifier
-runs it over `_MOVES`.
+integers; `apply_relation` and `normal_form` read it, and the atlas's
+relation-lift verifier runs it over `_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
 three straight-line blocks: an R3 reduction (n = 0 -> 1) and an R4
 reduction (n = 1 -> 2), each on the best member of the R1/R2 orbit, then
 the lexicographic minimum over the final orbit.  It raises nothing, since
-R3 and R4 always shrink |p| + |q|.  `normal_form` replays its moves into a
+R3 and R4 always shrink |p| + |q|.  `normal_form` turns its moves into a
 witness chain, so every positive verdict carries a certificate; callers
 that only compare classes, such as the atlas, use `canonical` and build no
 chains.  A bounded `functools.lru_cache` keeps each link's normal form and
@@ -306,7 +306,8 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
     - Minimum: the first coordinates are -|p| and -|R2 s first coordinate|.
       In S^3 they are equal only when |p| = |q|, where R2 s is +-s; in
       RP^3 only when -p + 2q = +-p, so q = p or q = 0, where R2 s is s or
-      (-p, 0).  Equal first coordinates thus mean equal pairs.
+      (-p, 0).  Equal first coordinates thus mean equal pairs.  R2 s wins only
+      with a first coordinate below -|p| <= 0, so its sign rule ignores a zero.
 
     No reduction can fail to shrink |p| + |q|, so none is guarded: `_reduce`
     gives an image only when k > 0 divides p and q; k is p (R3), q or
@@ -340,7 +341,7 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
     a, b, path = (-p, -q, _PATH_R1) if p > 0 or not p and q > 0 else (p, q, ())
     if n != 1:
         c, d = _swap(space, p, q)
-        c, d, swapped = (-c, -d, _PATH_R1_R2) if c > 0 or not c and d > 0 else (c, d, _PATH_R2)
+        c, d, swapped = (-c, -d, _PATH_R1_R2) if c > 0 else (c, d, _PATH_R2)
         if c < a:
             a, b, path = c, d, swapped
     if moves is not None:
@@ -351,8 +352,7 @@ def canonical(space: AmbientSpace, p: int, q: int, n: int,
 def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     """Canonical representative of the isotopy class, with a move chain.
 
-    The representative is `canonical` of the triple; the chain replays the
-    moves `canonical` applied, one `apply_relation` each.
+    The chain holds the moves `canonical` applied, built by `_move`; `verify_chain` checks it.
     """
     return _normal_form(link)
 
@@ -371,16 +371,16 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 #   VmHWM                    21.5   24.4    27.4 MB
 @lru_cache(maxsize=1 << 13)
 def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
-    _check_space(link[0])  # canonical reads any other space as RP^3
+    space, p, q, n = link
+    _check_space(space)  # canonical reads any other space as RP^3
     moves = []
-    canonical(*link, moves)
+    canonical(space, p, q, n, moves)
     steps = []
-    cur = link
     for relation in moves:
-        step = apply_relation(cur, relation)
-        steps.append(step)
-        cur = step.after
-    return cur, tuple(steps)
+        before, (p, q, n) = link, _move(space, relation, _FORWARD, p, q, n)
+        link = _tuple_new(TorusLink, (space, p, q, n))
+        steps.append(_tuple_new(RelationStep, (relation, _FORWARD, before, link)))
+    return link, tuple(steps)
 
 
 def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...] | None]:
@@ -393,6 +393,8 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...]
     the empirical confluence audit of the atlas module.
     """
     if a.space is not b.space:
+        _check_space(a.space)  # before the message's repr, which reads space.value
+        _check_space(b.space)
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
     nf_a, chain_a = _normal_form(a)
     nf_b, chain_b = _normal_form(b)
@@ -413,6 +415,7 @@ def _lift(p: int, q: int) -> tuple[int, int]:
 def lift(link: TorusLink) -> TorusLink:
     """Preimage in S^3 under the double cover, by `_lift`."""
     if link.space is not _RP3:
+        _check_space(link.space)
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")
     return _tuple_new(TorusLink, (_SPHERE3, *_lift(link.p, link.q), link.n))
 

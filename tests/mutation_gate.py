@@ -21,16 +21,58 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+LINKS = "projlink/links.py"
 CHAIN_PIN = "tests/test_canonical.py::test_canonical_is_the_end_of_every_chain_at_bound_60"
+CANONICAL_PIN = "tests/test_canon_query.py::test_canonical_is_unchanged"
+MOVE_PIN = "tests/test_links.py::test_every_move_at_bound_40_is_unchanged"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
-# `canonical` has no shrink guard: a forward reduction that does not shrink
-# |p| + |q| must be caught by the chain pin instead.
+# Each test is the cheapest one found to kill its mutant.  `canonical` has
+# no shrink guard, and `normal_form` builds its chain from `_move` without
+# the validating replay of `apply_relation`: a wrong reduction or a wrong
+# recorded move must be caught by the chain pin instead.
 MUTANTS = [
     ("the forward reduction grows (p, q) to (k + 1)/k (p, q)",
-     "projlink/links.py", "step: int = -1", "step: int = 1", CHAIN_PIN),
+     LINKS, "step: int = -1", "step: int = 1", CHAIN_PIN),
     ("the forward reduction leaves (p, q) unchanged",
-     "projlink/links.py", "step: int = -1", "step: int = 0", CHAIN_PIN),
+     LINKS, "step: int = -1", "step: int = 0", CHAIN_PIN),
+    ("canonical records an R3 reduction as R4",
+     LINKS, "moves += (*path, _R3)", "moves += (*path, _R4)", CHAIN_PIN),
+    ("canonical records the orbit path R1 R2 as R2 R1",
+     LINKS, "(_R1,), (_R2,), (_R1, _R2)", "(_R1,), (_R2,), (_R2, _R1)", CHAIN_PIN),
+    ("normal_form marks its steps backward",
+     LINKS, "(relation, _FORWARD, before, link)", "(relation, _BACKWARD, before, link)",
+     CHAIN_PIN),
+    # The divisors.
+    ("R3's divisor is q", LINKS, "        k = p\n", "        k = q\n", CANONICAL_PIN),
+    ("R4's divisor in S^3 is p",
+     LINKS, "k = q if space is _SPHERE3", "k = p if space is _SPHERE3", CANONICAL_PIN),
+    ("R4's divisor in RP^3 is q, as in S^3",
+     LINKS, "_SPHERE3 else -p + 2 * q", "_SPHERE3 else q", CANONICAL_PIN),
+    ("a reduction does not need k to divide p",
+     LINKS, "q % k or p % k", "q % k", CANONICAL_PIN),
+    # The swap.
+    ("R2 in S^3 is the identity", LINKS, "return q, p\n", "return p, q\n", CANONICAL_PIN),
+    ("R2 in RP^3 maps p to p - 2q",
+     LINKS, "return -p + 2 * q, q\n", "return p - 2 * q, q\n",
+     "tests/test_links.py::TestApplicability::test_rp3_handlebody_swap"),
+    # The lift: (p, p - 2q) is the true lift mirrored, (p, q) -> (p, -q).
+    # The lift verifiers find no violation in it at bound 12; the formula
+    # test kills it.
+    ("the lift is (p, p - 2q)",
+     LINKS, "return p, -p + 2 * q\n", "return p, p - 2 * q\n",
+     "tests/test_links.py::TestLift::test_formula"),
+    # The orbit minimum.
+    ("the minimum keeps +-s with first coordinate 0 as it comes",
+     LINKS, "p > 0 or not p and q > 0", "p > 0", CANONICAL_PIN),
+    ("the minimum takes +-R2 s on a tie", LINKS, "if c < a:", "if c <= a:", CANONICAL_PIN),
+    # The fixed preimages of (0, 0; 1) and (0, 0; 2).
+    ("R3 backward from (0, 0; 1) gives (-1, 0; 0)",
+     LINKS, "return 1, 0, 0", "return -1, 0, 0", MOVE_PIN + "[AmbientSpace.SPHERE3]"),
+    ("R4 backward from (0, 0; 2) in S^3 gives (1, 0; 1)",
+     LINKS, "(0, 1, 1) if space", "(1, 0, 1) if space", MOVE_PIN + "[AmbientSpace.SPHERE3]"),
+    ("R4 backward from (0, 0; 2) in RP^3 gives (0, 1; 1)",
+     LINKS, "else (1, 1, 1)", "else (0, 1, 1)", MOVE_PIN + "[AmbientSpace.RP3]"),
 ]
 
 

@@ -89,6 +89,13 @@ def test_hot_loops_read_no_enum_class(module, name):
     assert not _global_loads(function.__code__) & ENUM_CLASSES
 
 
+def test_normal_form_builds_its_chain_without_the_validating_replay():
+    # `canonical` computed each move; replaying it through apply_relation
+    # would re-check what cannot fail.  verify_chain is the replay.
+    normal_form = links._normal_form.__wrapped__  # under lru_cache
+    assert "apply_relation" not in _global_loads(normal_form.__code__)
+
+
 # The cover check and the quotient allocate nothing per edge or vertex that
 # their result does not keep: no set of an edge's ends, no `min` of an orbit.
 THROWAWAY_GLOBALS = [(jsj, "_involution_violations", {"frozenset"}),

@@ -317,10 +317,15 @@ class TestInvalidInput:
         assert exc.value.code == "INVALID_N"
 
     # A TorusLink built without make_link: the kernel reads a space that is
-    # not an AmbientSpace as RP^3, and TorusLink's repr cannot print it.
+    # not an AmbientSpace as RP^3, and TorusLink's repr cannot print it, so
+    # neither SpaceMismatch nor WrongSpace can name the link.
     @pytest.mark.parametrize("query", [normal_form, classify,
-                                       lambda link: apply_relation(link, Relation.R2)],
-                             ids=["normal_form", "classify", "apply_relation"])
+                                       lambda link: apply_relation(link, Relation.R2),
+                                       lambda link: isotopic(link, make_link(S3, 0, 3, 0)),
+                                       lambda link: isotopic(make_link(S3, 0, 3, 0), link),
+                                       lift],
+                             ids=["normal_form", "classify", "apply_relation",
+                                  "isotopic_first", "isotopic_second", "lift"])
     def test_a_hand_built_link_in_no_space_is_invalid_input(self, query):
         with pytest.raises(InvalidInput, match="space must be an AmbientSpace, got 's3'"):
             query(TorusLink("s3", 0, 3, 0))
