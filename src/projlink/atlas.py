@@ -2,8 +2,8 @@
 
 The universe at bound B is every triple with |p|, |q| <= B and n in
 {0, 1, 2}.  Classes are keyed by normal form and stored in normal-form
-order; an independent union-find closure over a three-times-larger universe
-cross-checks the greedy normal-form strategy, and two further verifiers
+order; an independent union-find closure of the same universe under the
+moves cross-checks the greedy normal-form strategy, and two further verifiers
 exercise the double-cover lift: relation-by-relation compatibility and
 injectivity on classes.  The closure audit and lift injectivity each
 compare two partitions of the universe, through one helper, `_cross_check`.
@@ -122,20 +122,17 @@ def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
     return Atlas(space, bound, classes)
 
 
-def _index(bound: int, p: int, q: int, n: int) -> int:
-    """Position of (p, q, n) in _triples(bound)."""
-    return ((p + bound) * (2 * bound + 1) + q + bound) * 3 + n
-
-
 def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
     """Union-find closure of the bounded universe under all relation moves.
 
-    Works on universe positions (see _index) in a flat parent list.  R1 and
-    R2 are involutions, so each of their pairs is joined once, from its later
-    position; a reduction is joined from its source.  Every class is rooted
-    at its least position, so at its lexicographically least triple.
-    Returns the root of every position.
+    Works on positions in _triples(bound) in a flat parent list.  R1 and R2
+    are involutions, so each of their pairs is joined once, from its later
+    position; a reduction is joined from its source, and its image, scaled
+    by (k - 1)/k, stays in the universe.  Every class is rooted at its least
+    position, so at its lexicographically least triple.  Returns the root of
+    every position.
     """
+    triples = _triples(bound)  # rejects a negative bound before the list is built
     width = 2 * bound + 1
     parent = list(range(3 * width * width))
 
@@ -145,7 +142,7 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
             x = parent[x]
         return x
 
-    for i, (p, q, n) in enumerate(_triples(bound)):
+    for i, (p, q, n) in enumerate(triples):
         j = ((bound - p) * width + bound - q) * 3 + n  # R1 keeps |p| and |q|
         targets = [j] if j < i else []
         if n != 1:
@@ -157,8 +154,7 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
         reduced = _reduce(space, p, q, n)
         if reduced is not None:
             ip, iq = reduced
-            if abs(ip) <= bound and abs(iq) <= bound:
-                targets.append(((ip + bound) * width + iq + bound) * 3 + n + 1)
+            targets.append(((ip + bound) * width + iq + bound) * 3 + n + 1)
         for j in targets:
             a, b = find(i), find(j)
             if a < b:
@@ -202,20 +198,30 @@ def _cross_check(space: AmbientSpace, bound: int, groups: dict, split, joined: s
 
 
 def confluence_audit(space: AmbientSpace, bound: int) -> VerificationReport:
-    """Cross-check normal forms against the union-find closure.
+    """Cross-check normal forms against the union-find closure of the universe.
 
-    The closure runs over |p|, |q| <= 3 * bound; the comparison is made on
-    the inner universe.  Reports every inner pair on which the two
-    partitions disagree, in either direction.
+    Reports every pair on which the two partitions disagree, in either
+    direction.  The closure stays in the box |p|, |q| <= B, which loses
+    nothing: two boxed triples joined by moves are joined inside the box.
+    Group triples into nodes, the R1/R2 orbits at one n.  R1 and R2 commute
+    and R1 keeps the box, so a node's boxed members, +-s, +-R2 s or all
+    four, are joined in it.  Every other edge is a forward R3 or R4, or its
+    reverse.  At most one member of a node reduces (see `canonical`), so a
+    node has at most one successor, at n + 1, and a class's nodes form a
+    tree with one terminal node.  The image (k - 1)/k (p, q) stays in the
+    box, and a boxed node reduces from a boxed member: at n = 1 the node is
+    +-s, and in S^3 R2 keeps the box, so every member is boxed.  At n = 0
+    in RP^3 the reducing member is (p, mp) with p > 0, every member has
+    |q| = |m|p, and at m = 0 the node is {(+-p, 0)}; so a boxed member
+    forces p <= B and |m|p <= B.  So a boxed triple's path to its class's
+    terminal node stays in the box, and two boxed triples of a class meet
+    there.
     """
     t0 = time.perf_counter()
     _check_space(space)
-    inner = _triples(bound)  # rejects a negative bound before the closure runs
-    outer = 3 * bound
-    roots = _closure_roots(space, outer)
     groups: dict[tuple, list] = {}
-    for t in inner:
-        groups.setdefault((roots[_index(outer, *t)], canonical(space, *t)), []).append(t)
+    for root, t in zip(_closure_roots(space, bound), _triples(bound)):
+        groups.setdefault((root, canonical(space, *t)), []).append(t)
     # Roots (positions) and keys (triples) both sort in (p, q, n) order.
     return _cross_check(space, bound, groups,
                         lambda _: "union-find-equivalent but distinct normal forms",

@@ -22,9 +22,12 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINKS = "projlink/links.py"
+ATLAS = "projlink/atlas.py"
+CLI = "projlink/cli.py"
 CHAIN_PIN = "tests/test_canonical.py::test_canonical_is_the_end_of_every_chain_at_bound_60"
 CANONICAL_PIN = "tests/test_canon_query.py::test_canonical_is_unchanged"
 MOVE_PIN = "tests/test_links.py::test_every_move_at_bound_40_is_unchanged"
+UNION_FIND = "tests/test_atlas.py::TestClosurePartition::test_union_find_matches_independent_oracle"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
 # Each test is the cheapest one found to kill its mutant.  `canonical` has
@@ -73,6 +76,22 @@ MUTANTS = [
      LINKS, "(0, 1, 1) if space", "(1, 0, 1) if space", MOVE_PIN + "[AmbientSpace.SPHERE3]"),
     ("R4 backward from (0, 0; 2) in RP^3 gives (0, 1; 1)",
      LINKS, "else (1, 1, 1)", "else (0, 1, 1)", MOVE_PIN + "[AmbientSpace.RP3]"),
+    # The confluence closure and the cross-check.  A root at the greatest
+    # position keeps the partition but reorders the reported groups.
+    ("the closure never joins R1 pairs",
+     ATLAS, "targets = [j] if j < i else []", "targets = []", UNION_FIND),
+    ("the closure joins R2 pairs at n = 0 only", ATLAS, "if n != 1:", "if n == 0:", UNION_FIND),
+    ("the closure roots a class at its greatest position",
+     ATLAS, "parent[b] = a\n            elif b < a:\n                parent[a] = b",
+     "parent[a] = b\n            elif b < a:\n                parent[b] = a",
+     "tests/test_atlas.py::test_seeded_fault_reports_are_unchanged"),
+    ("_cross_check reports no pair that shares b but not a",
+     ATLAS, "((by_a, split), (by_b, lambda _: joined))", "((by_a, split),)",
+     "tests/test_atlas.py::TestViolationsAreReported"),
+    # README: the verification suites exit 1 on any violation.
+    ("verify exits 0 on a violation",
+     CLI, "return 0 if report.ok else 1", "return 0",
+     "tests/test_atlas.py::test_verify_exits_1_on_a_violation"),
 ]
 
 

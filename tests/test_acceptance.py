@@ -83,10 +83,10 @@ def test_criterion_3_exceptional_bullets():
 def test_criterion_4_confluence_audit():
     total_pairs = 0
     for space in (S3, RP3):
-        rep = confluence_audit(space, 10)  # closure runs over 3 * 10 = 30
+        rep = confluence_audit(space, 10)  # closure and comparison both at bound 10
         assert rep.violations == (), space
         total_pairs += rep.checked_pairs
-    report(4, f"closure (outer 30) agrees with normal forms (inner 10) in "
+    report(4, f"closure agrees with normal forms (bound 10) in "
               f"both spaces over {total_pairs} pairs")
 
 

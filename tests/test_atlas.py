@@ -14,13 +14,13 @@ from closure_oracle import closure_classes, same_class
 from projlink import atlas as atlas_module
 from projlink.atlas import (
     _closure_roots,
-    _index,
     _triples,
     confluence_audit,
     enumerate_classes,
     relation_lift_compatibility,
     verify_lift_injectivity,
 )
+from projlink.cli import main
 from projlink.links import (
     AmbientSpace,
     Direction,
@@ -149,21 +149,33 @@ class TestClosurePartition:
     @pytest.mark.parametrize("space", [S3, RP3])
     def test_monotone_consistency(self, space):
         # Restricting the closure at a larger bound to a smaller universe
-        # must reproduce the smaller closure exactly.
-        small = _closure_roots(space, 2)
-        large = _closure_roots(space, 6)
+        # must reproduce the smaller closure exactly: confluence_audit's
+        # in-box lemma, at bounds 2 and 6.
+        small = dict(zip(_triples(2), _closure_roots(space, 2)))
+        large = dict(zip(_triples(6), _closure_roots(space, 6)))
         by_small = {}
         by_large = {}
         for t in _triples(2):
-            by_small.setdefault(small[_index(2, *t)], set()).add(t)
-            by_large.setdefault(large[_index(6, *t)], set()).add(t)
+            by_small.setdefault(small[t], set()).add(t)
+            by_large.setdefault(large[t], set()).add(t)
         assert set(map(frozenset, by_small.values())) == \
             set(map(frozenset, by_large.values()))
 
     def test_distinct_small_torus_knots(self):
-        roots = _closure_roots(S3, 50)
-        assert roots[_index(50, 2, 3, 0)] != roots[_index(50, 2, 5, 0)]
+        roots = dict(zip(_triples(50), _closure_roots(S3, 50)))
+        assert roots[2, 3, 0] != roots[2, 5, 0]
         assert same_class("s3", (2, 3, 0), (2, 5, 0), 50) is False
+
+    @pytest.mark.parametrize("space", ["s3", "rp3"])
+    def test_in_box_lemma(self, space):
+        # confluence_audit's docstring proves that two triples of the box
+        # joined by moves are joined inside it, so closing the box alone
+        # loses nothing.  Checked here with the oracle alone, against a
+        # closure three times wider.
+        for bound in range(21):
+            box = set(_triples(bound))
+            wide = {cls & box for cls in closure_classes(space, 3 * bound)} - {frozenset()}
+            assert set(closure_classes(space, bound)) == wide, bound
 
     @pytest.mark.parametrize("space", [S3, RP3])
     def test_union_find_matches_independent_oracle(self, space):
@@ -203,7 +215,7 @@ class TestConfluenceAudit:
         assert report.violations == ()
 
     def test_negative_bound_rejected_before_the_closure(self):
-        # The closure at 3 * bound would hold about 10^14 positions.
+        # The closure would hold about 10^13 positions.
         with pytest.raises(ValueError):
             confluence_audit(S3, -10**6)
 
@@ -324,6 +336,7 @@ def report(checked, violations, space=RP3, notes=None):
 
 
 SPLIT = "union-find-equivalent but distinct normal forms"
+JOINED = "equal normal forms but not union-find-equivalent"
 
 
 class TestViolationsAreReported:
@@ -364,7 +377,10 @@ class TestViolationsAreReported:
 # every cross-check report many groups at once, and the digests pin the order
 # of the groups, of the subgroups within a group and of the pairs across
 # them.  Recorded before the verifiers moved to plain triples and one pair
-# enumerator.
+# enumerator.  Bounds 3-5 were re-recorded when the confluence closure
+# shrank to the compared universe: a class's root is now its least triple
+# there, which reorders the groups.  The violation sets did not change;
+# test_seeded_fault_violations_are_the_oracles checks them.
 def _seeded_wrong(seed=22282, per_space=6, bound=3):
     rng = random.Random(seed)
     span = range(-bound, bound + 1)
@@ -379,9 +395,9 @@ SEEDED_DIGESTS = {
     0: "abb9bf5a619945e3b42ad5ccccaa1561794a125f2d5aaca5f32d01bf78185536",
     1: "1382f04ad126d487da778bd4605a43810909e01a8f0f02fef6664b3540d2a7df",
     2: "72ba47feb49c7c53ce4f6b582daadf98dbffe9b99ae45239454be6e523f54959",
-    3: "761c72c336162a0c009aa9c462e419239d127f82d90200d835904be3253687fa",
-    4: "dbf574eed5a97231adab95d9baf409d5f1e9774748e79af6a121778457467c70",
-    5: "8eb632e57efff90a15b1ad012776534991688f619d886d71cc61608ba1304ec0",
+    3: "1b33d7f772c6a4f5d5298cad7176351e4c41cc717bd20800d90f18ad219dec6c",
+    4: "4200e219f786f2a383d310283b8c2acd76ed6eed1b9df8643036b19ccfb9f6fa",
+    5: "ed848f402a1fb218ca0d67a8867124d7cdc9ae6652f675c28f4308e79e6699c9",
     6: "d4c7658f49263010353a8fa22468e946028a56ec00153f79370d82a055683e2e",
 }
 
@@ -405,3 +421,44 @@ def test_seeded_fault_reports_are_unchanged(monkeypatch, bound):
     }
     text = json.dumps(outputs, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_DIGESTS[bound]
+
+
+def _triple(link: dict) -> tuple:
+    return link["p"], link["q"], link["n"]
+
+
+@pytest.mark.parametrize("space", [S3, RP3])
+@pytest.mark.parametrize("bound", range(7))
+def test_seeded_fault_violations_are_the_oracles(monkeypatch, space, bound):
+    # The confluence report, as a set, from the closure oracle and the wrong
+    # normal forms alone: two triples are reported when they share a class
+    # but not a normal form, or a normal form but not a class.  A pair's a
+    # lies in the subgroup (one class, one normal form) the scan meets
+    # first, the one with the lesser least triple.
+    monkeypatch.setattr(atlas_module, "canonical", seeded_wrong_canonical)
+    violations = [(_triple(v["a"]), _triple(v["b"]), v["evidence"])
+                  for v in confluence_audit(space, bound).to_dict()["violations"]]
+    subgroups = {}
+    for cls in closure_classes(space.value, bound):
+        for t in cls:
+            subgroups.setdefault((cls, seeded_wrong_canonical(space, *t)), set()).add(t)
+    expected = set()
+    for (cls_a, nf_a), ga in subgroups.items():
+        for (cls_b, nf_b), gb in subgroups.items():
+            if min(ga) < min(gb) and (cls_a == cls_b) != (nf_a == nf_b):
+                evidence = SPLIT if cls_a == cls_b else JOINED
+                expected |= {(x, y, evidence) for x in ga for y in gb}
+    assert len(violations) == len(set(violations))
+    assert set(violations) == expected
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["confluence", "--space", "s3"], 73),
+    (["confluence", "--space", "rp3"], 53),
+    (["lift-injectivity"], 20),
+    (["relation-lift"], 14),
+])
+def test_verify_exits_1_on_a_violation(monkeypatch, capsys, argv, count):
+    monkeypatch.setattr(atlas_module, "canonical", seeded_wrong_canonical)
+    assert main(["verify", *argv, "--bound", "3"]) == 1
+    assert len(json.loads(capsys.readouterr().out)["violations"]) == count
