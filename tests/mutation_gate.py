@@ -24,10 +24,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINKS = "projlink/links.py"
 ATLAS = "projlink/atlas.py"
 CLI = "projlink/cli.py"
+JSJ = "projlink/jsj.py"
+GENERATORS = "projlink/generators.py"
 CHAIN_PIN = "tests/test_canonical.py::test_canonical_is_the_end_of_every_chain_at_bound_60"
 CANONICAL_PIN = "tests/test_canon_query.py::test_canonical_is_unchanged"
 MOVE_PIN = "tests/test_links.py::test_every_move_at_bound_40_is_unchanged"
 UNION_FIND = "tests/test_atlas.py::TestClosurePartition::test_union_find_matches_independent_oracle"
+LIFT_INJECTIVITY = "tests/test_atlas.py::TestViolationsAreReported::test_lift_injectivity"
+VALIDATE_TREE = "tests/test_jsj.py::TestValidateTree"
+POTENTIAL = "tests/test_jsj.py::TestPotential"
+QUOTIENT = "tests/test_jsj.py::TestQuotient"
+LEMMA44 = "tests/test_jsj.py::TestLemma44"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
 # Each test is the cheapest one found to kill its mutant.  `canonical` has
@@ -88,10 +95,54 @@ MUTANTS = [
     ("_cross_check reports no pair that shares b but not a",
      ATLAS, "((by_a, split), (by_b, lambda _: joined))", "((by_a, split),)",
      "tests/test_atlas.py::TestViolationsAreReported"),
-    # README: the verification suites exit 1 on any violation.
+    # The lift verifiers.
+    ("lift injectivity keeps every member of a class",
+     ATLAS, "if key not in groups:\n            groups[key] = [(p, q, n)]",
+     "groups.setdefault(key, []).append((p, q, n))", LIFT_INJECTIVITY),
+    ("lift injectivity keys by the RP^3 normal form twice",
+     ATLAS, "key = (canonical(s3, *_lift(p, q), n), canonical(rp3, p, q, n))",
+     "key = (canonical(rp3, p, q, n), canonical(rp3, p, q, n))", LIFT_INJECTIVITY),
+    ("relation-lift tries no backward move",
+     ATLAS, "for relation, direction in _MOVES:", "for relation, direction in _MOVES[::2]:",
+     "tests/test_atlas.py::TestRelationLiftCompatibility::test_report_is_unchanged"),
+    # The JSJ tree and cover checks.  test_cycle_rejected does not kill the
+    # first: its cycle also breaks the edge count.
+    ("the shape check misses a cycle",
+     JSJ, "if u == v:", "if False:",
+     VALIDATE_TREE + "::test_long_path_with_a_cycle_and_an_isolated_vertex"),
+    ("the label-pair rule forbids only (other, other)",
+     JSJ, "if (lu is _OTHER) is (lv is _OTHER) and not (lu is lv is _ST):",
+     "if lu is lv is _OTHER:", VALIDATE_TREE + "::test_label_pair"),
+    ("the potential runs against each oriented edge",
+     JSJ, "fx + 1 if (lu is not _OTHER) is (u == x) else fx - 1",
+     "fx - 1 if (lu is not _OTHER) is (u == x) else fx + 1", POTENTIAL + "::test_oriented_edge"),
+    ("the potential is not normalised to minimum zero",
+     JSJ, "return {v: f - low for v, f in values.items()} if low else values", "return values",
+     POTENTIAL + "::test_star_with_mixed_orientations"),
+    ("a cover may fix a knotted-hole-ball edge",
+     JSJ, "if lu is _KHB or lv is _KHB:", "if False:",
+     QUOTIENT + "::test_fixed_knotted_hole_ball_edge_rejected"),
+    ("a fixed edge may swap its endpoints",
+     JSJ, "if su == v or su == u and sv == v:", "if su == u and sv == v:",
+     QUOTIENT + "::test_endpoint_swapping_fixed_edge_rejected"),
+    ("a cover's involution need not preserve labels",
+     JSJ, "if image[0] is not lu or image[1] is not lv:", "if False:",
+     QUOTIENT + "::test_label_mismatch_rejected"),
+    ("the parity criterion asks for an odd count",
+     JSJ, "non_st[qv] % 2 == 0", "non_st[qv] % 2 == 1",
+     LEMMA44 + "::test_fixed_vertex_with_odd_other_count"),
+    ("cover_from_dict takes a vertex_map value that cannot be hashed",
+     JSJ, "hash(w)", "pass", LEMMA44 + "::test_malformed_involution_is_invalid_input"),
+    ("the generator gives a fixed piece the back labels (other, st)",
+     GENERATORS, "_FIXED_BACK = (_ST, _OTHER)", "_FIXED_BACK = (_OTHER, _ST)",
+     "tests/test_jsj_pins.py::test_cover_stream_is_unchanged"),
+    # The exit codes: verify and cover-check exit 1 when a property is refuted.
     ("verify exits 0 on a violation",
      CLI, "return 0 if report.ok else 1", "return 0",
      "tests/test_atlas.py::test_verify_exits_1_on_a_violation"),
+    ("cover-check exits 0 on a mismatch",
+     CLI, "on this cover\n                return 1", "on this cover\n                return 0",
+     "tests/test_cli.py::TestJsj::test_cover_check_mismatch_is_exit_1"),
 ]
 
 

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projlink
+from projlink import atlas
 from projlink.cli import main
+from test_readme import readme_table
 
 
 def run(capsys, *argv):
@@ -39,12 +41,6 @@ class TestCanon:
         assert code == 0
         assert out["components"] == 0
         assert out["classification"]["kind"] == "EMPTY"
-
-    def test_invalid_n_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "canon", "--space", "s3", "1", "1", "3")
-        assert code == 2
-        assert out is None
-        assert "INVALID_N" in err
 
     def test_witness_replays_from_json(self, capsys):
         from projlink.links import (AmbientSpace, Direction, Relation, RelationStep,
@@ -104,10 +100,6 @@ class TestAtlas:
         assert code == 0
         assert len(out["classes"]) == 3
 
-    def test_negative_bound(self, capsys):
-        code, out, err = run(capsys, "atlas", "--space", "s3", "--bound", "-2")
-        assert code == 2 and out is None
-
     def test_byte_stable_output(self, capsys):
         _, _, _ = run(capsys, "atlas", "--space", "rp3", "--bound", "1")
         first = capsys.readouterr()
@@ -133,11 +125,6 @@ class TestVerify:
     def test_relation_lift(self, capsys):
         code, out, _ = run(capsys, "verify", "relation-lift", "--bound", "8")
         assert code == 0 and out["violations"] == []
-
-    def test_negative_bound_is_usage_error(self, capsys):
-        code, out, _ = run(capsys, "verify", "lift-injectivity",
-                           "--bound", "-1")
-        assert code == 2 and out is None
 
     def test_report_json_has_no_timing(self, capsys):
         _, out, _ = run(capsys, "verify", "confluence", "--bound", "3")
@@ -573,3 +560,98 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main([flag, "1", "canon", "--space", "s3", "1", "1", "0"])
         assert exc.value.code == 2
+
+
+# One row per row of README's exit-code table: (command, exit code, stderr
+# code, argv).  "{name}" in an argv is the path of JSJ_FILES[name], written
+# first; "{absent}" names no file.  The rows for a stdout that is closed or
+# cannot be written name the subprocess tests that check them instead, since
+# main cannot run in-process without a stdout.
+JSJ_FILES = {
+    "tree": {"vertices": [{"id": "a", "geometry": "seifert"},
+                          {"id": "b", "geometry": "hyperbolic"}],
+             "edges": [{"u": "a", "v": "b", "label_beyond_u": "st", "label_beyond_v": "other"}]},
+    # The v1-v0-v2 cover of test_cover_check_mismatch_is_exit_1.
+    "mismatch": {"vertices": [{"id": v, "geometry": "seifert"} for v in ("v0", "v1", "v2")],
+                 "edges": [{"u": u, "v": v, "label_beyond_u": "st", "label_beyond_v": "st"}
+                           for u, v in (("v1", "v0"), ("v0", "v2"))],
+                 "involution": {"vertex_map": {"v0": "v0", "v1": "v2", "v2": "v1"}}},
+    "forbidden": FORBIDDEN_TREE,
+}
+NINES = "9" * 4300  # the most digits int() reads by default
+EXIT_CODE_ROWS = [
+    ("canon", 0, "—", ["canon", "--space", "s3", "2", "2", "0"]),
+    ("canon", 2, "INVALID_N", ["canon", "--space", "s3", "1", "1", "3"]),
+    ("isotopic", 0, "—", ["isotopic", "--space", "s3", "2", "3", "0", "2", "5", "0"]),
+    ("isotopic", 2, "INVALID_N", ["isotopic", "--space", "rp3", "1", "1", "0", "1", "1", "3"]),
+    ("lift", 0, "—", ["lift", "2", "1", "1"]),
+    ("lift", 2, "INVALID_N", ["lift", "2", "1", "5"]),
+    ("lift", 2, "CALCULUS_ERROR", ["lift", "-" + NINES, NINES, "0"]),
+    ("atlas", 0, "—", ["atlas", "--space", "rp3", "--bound", "1"]),
+    ("atlas", 2, "CALCULUS_ERROR", ["atlas", "--space", "s3", "--bound", "-2"]),
+    ("atlas", 2, "OUT_OF_MEMORY", ["atlas", "--space", "s3", "--bound", HUGE]),
+    ("verify", 0, "—", ["verify", "relation-lift", "--bound", "2"]),
+    ("verify", 1, "—", ["verify", "confluence", "--bound", "1"]),
+    ("verify", 2, "CALCULUS_ERROR", ["verify", "lift-injectivity", "--bound", "-1"]),
+    ("verify", 2, "OUT_OF_MEMORY", ["verify", "confluence", "--bound", HUGE]),
+    ("verify", 2, "usage", ["verify", "relation-lift", "--space", "rp3", "--bound", "1"]),
+    ("jsj", 0, "—", ["jsj", "outermost", "{tree}"]),
+    ("jsj", 1, "—", ["jsj", "cover-check", "{mismatch}"]),
+    ("jsj", 1, "violations", ["jsj", "outermost", "{forbidden}"]),
+    ("jsj", 2, "—", ["jsj", "outermost", "{absent}"]),
+    ("any", 0, "—", ["--help"]),
+    ("any", 2, "usage", ["canon", "--space", "s3", "1.5", "1", "0"]),
+    ("any", 2, "OUTPUT_ERROR", [test_no_stdout_is_exit_2_with_one_line_and_no_traceback]),
+    ("any", 2, "OUTPUT_ERROR", [test_closed_stdout_is_exit_2_with_one_line_and_no_traceback,
+                                test_full_stdout_is_exit_2_with_one_line_and_no_traceback]),
+]
+
+
+def test_exit_code_rows_are_readmes():
+    readme = [(command.strip("`"), int(code), stderr.strip("`"))
+              for command, code, stderr, _ in readme_table("Exit codes")]
+    assert [row[:3] for row in EXIT_CODE_ROWS] == readme
+
+
+def _row_id(row) -> str:
+    command, code, stderr, argv = row
+    name = f"{command}-{code}-{'none' if stderr == '—' else stderr}"
+    if callable(argv[0]):  # test_no_stdout_... gives "-no-stdout"
+        name += "-" + argv[0].__name__.removeprefix("test_").split("_stdout")[0] + "-stdout"
+    return name
+
+
+@pytest.mark.parametrize("command, code, stderr, argv", EXIT_CODE_ROWS,
+                         ids=[_row_id(row) for row in EXIT_CODE_ROWS])
+def test_exit_code_table_row(command, code, stderr, argv, capsys, monkeypatch, tmp_path):
+    if callable(argv[0]):  # the row is a subprocess test's
+        assert all(globals()[test.__name__] is test for test in argv)
+        return
+    if (command, code) == ("verify", 1):
+        # The real calculus has no violation: make each triple its own normal form.
+        monkeypatch.setattr(atlas, "canonical", lambda space, p, q, n, moves=None: (p, q, n))
+    files = {"absent": tmp_path / "absent.json"}
+    for name, document in JSJ_FILES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(document))
+    try:
+        got = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse ends --help and usage errors so
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert out == ""
+    elif argv == ["--help"]:
+        assert out.startswith("usage: projlink")
+    else:
+        document = json.loads(out)
+    coded = re.findall(r"^projlink: ([A-Z_]+):", err, re.MULTILINE)
+    if stderr == "violations":
+        assert document["status"] == "ERROR"
+        assert coded == [v["code"] for v in document["violations"]] != []
+    elif stderr == "usage":
+        assert err.startswith("usage: projlink") and coded == []
+    else:
+        assert coded == ([] if stderr == "—" else [stderr])
+    assert "Traceback" not in err
