@@ -183,7 +183,7 @@ def _cmd_jsj(args) -> int:
     # ValueError covers bytes that are not UTF-8 as well as malformed JSON;
     # nesting deeper than the decoder's recursion limit raises RecursionError.
     except (OSError, ValueError, RecursionError) as exc:
-        _diagnose(f"projlink: cannot read {args.input}: {exc}")
+        _diagnose(f"projlink: INVALID_INPUT: cannot read {args.input}: {exc}")
         return 2
     try:
         if args.subcommand == "outermost":

@@ -17,8 +17,9 @@ a backward move reads it off the image as k - 1 and scales by (k + 1)/k.  The
 images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
 take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
-integers; `apply_relation` and `normal_form` read it, and the atlas's
-relation-lift verifier runs it over `_MOVES`.
+integers: `normal_form` builds its chains from it, `verify_chain` replays
+them through it, and the atlas's relation-lift verifier runs it over
+`_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
 three straight-line blocks: an R3 reduction (n = 0 -> 1) and an R4
@@ -95,10 +96,6 @@ class InvalidInput(InvalidN):
     """
 
     code = "INVALID_INPUT"
-
-
-class NotApplicable(CalculusError):
-    code = "NOT_APPLICABLE"
 
 
 class SpaceMismatch(CalculusError):
@@ -234,35 +231,14 @@ _MOVES = (
 )
 
 
-def apply_relation(
-    link: TorusLink, relation: Relation, direction: Direction = Direction.FORWARD
-) -> RelationStep:
-    """Apply one move, returning the step with its computed endpoint.
-
-    R1 and R2 are involutions and accept either direction.  The link may be
-    any 4-tuple.  Raises InvalidInput for a relation, direction or space
-    outside its enum, and NotApplicable when a side-condition fails.
-    """
-    # By identity, as in make_link; `_move` reads a non-member as R4 or backward.
-    if (relation is not _R1 and relation is not _R2 and relation is not _R3
-            and relation is not _R4 or direction is not _FORWARD and direction is not _BACKWARD):
-        raise InvalidInput(f"not a move: {relation!r} {direction!r}")
-    space, p, q, n = link
-    _check_space(space)
-    image = _move(space, relation, direction, p, q, n)
-    if image is None:
-        raise NotApplicable(
-            f"{relation.value} {direction.value} does not apply to {link!r}")
-    return _tuple_new(RelationStep, (relation, direction, link,
-                                     _tuple_new(TorusLink, (space, *image))))
-
-
 def verify_chain(chain: Iterable[RelationStep], start: TorusLink | None = None,
                  end: TorusLink | None = None) -> bool:
     """True when every step replays and the steps join from `start` to `end`.
 
     Steps are 4-tuples `relation, direction, before, after` in any iterable,
     links too; a backward step replays forward from `after` to `before`.
+    Each step replays through `_move`, whose None for a move that does not
+    apply fails the comparison's unpacking.
     """
     cur = start
     try:
@@ -274,7 +250,12 @@ def verify_chain(chain: Iterable[RelationStep], start: TorusLink | None = None,
                 before, after = after, before
             elif direction is not _FORWARD:
                 return False
-            if apply_relation(before, relation).after != after:
+            space, p, q, n = before
+            # By identity: `_move` reads any other relation as R4, any other space as RP^3.
+            if (relation is not _R1 and relation is not _R2 and relation is not _R3
+                    and relation is not _R4 or space is not _SPHERE3 and space is not _RP3):
+                return False
+            if after != (space, *_move(space, relation, _FORWARD, p, q, n)):
                 return False
     except Exception:  # a chain that cannot be replayed certifies nothing
         return False

@@ -35,12 +35,14 @@ VALIDATE_TREE = "tests/test_jsj.py::TestValidateTree"
 POTENTIAL = "tests/test_jsj.py::TestPotential"
 QUOTIENT = "tests/test_jsj.py::TestQuotient"
 LEMMA44 = "tests/test_jsj.py::TestLemma44"
+REPLAY = "tests/test_chain_replay.py"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
 # Each test is the cheapest one found to kill its mutant.  `canonical` has
 # no shrink guard, and `normal_form` builds its chain from `_move` without
-# the validating replay of `apply_relation`: a wrong reduction or a wrong
-# recorded move must be caught by the chain pin instead.
+# replaying it: a wrong reduction or a wrong recorded move must be caught by
+# the chain pin instead.  `verify_chain` is the trusted replay, so each of
+# its checks has a mutant too.
 MUTANTS = [
     ("the forward reduction grows (p, q) to (k + 1)/k (p, q)",
      LINKS, "step: int = -1", "step: int = 1", CHAIN_PIN),
@@ -53,6 +55,20 @@ MUTANTS = [
     ("normal_form marks its steps backward",
      LINKS, "(relation, _FORWARD, before, link)", "(relation, _BACKWARD, before, link)",
      CHAIN_PIN),
+    # The trusted replay: each check of `verify_chain` dropped.
+    ("verify_chain reads a space that is not an AmbientSpace as RP^3",
+     LINKS, " or space is not _SPHERE3 and space is not _RP3):", "):",
+     REPLAY + "::test_an_element_that_is_not_a_step_gives_false"),
+    ("verify_chain reads a relation that is not a Relation as R4",
+     LINKS, "(relation is not _R1 and relation is not _R2 and relation is not _R3\n"
+            "                    and relation is not _R4 or ", "(",
+     REPLAY + "::test_a_relation_that_is_not_a_member_is_rejected"),
+    ("verify_chain does not join a step to the one before",
+     LINKS, "if cur is not None and before != cur:", "if False:",
+     REPLAY + "::test_broken_link_between_steps_is_rejected"),
+    ("verify_chain does not compare the last link with the end",
+     LINKS, "return cur is None or end is None or cur == end", "return True",
+     REPLAY + "::test_wrong_start_or_end_is_rejected"),
     # The divisors.
     ("R3's divisor is q", LINKS, "        k = p\n", "        k = q\n", CANONICAL_PIN),
     ("R4's divisor in S^3 is p",

@@ -259,13 +259,13 @@ class TestRelationLiftCompatibility:
         assert report.notes["max_lift_chain_length"] >= 1
 
     def test_swap_instance_lifts_to_single_swap(self):
-        from projlink.links import apply_relation, isotopic, lift, Relation
+        from projlink.links import Direction, Relation, _move, isotopic, lift
         link = make_link(RP3, 1, 3, 0)
-        step = apply_relation(link, Relation.R2)
-        assert step.after == make_link(RP3, 5, 3, 0)
-        assert lift(step.before) == make_link(S3, 1, 5, 0)
-        assert lift(step.after) == make_link(S3, 5, 1, 0)
-        ok, chain = isotopic(lift(step.before), lift(step.after))
+        after = make_link(RP3, *_move(RP3, Relation.R2, Direction.FORWARD, 1, 3, 0))
+        assert after == make_link(RP3, 5, 3, 0)
+        assert lift(link) == make_link(S3, 1, 5, 0)
+        assert lift(after) == make_link(S3, 5, 1, 0)
+        ok, chain = isotopic(lift(link), lift(after))
         assert ok and len(chain) >= 1
 
     def test_negative_bound_rejected(self):

@@ -19,11 +19,9 @@ import pytest
 from projlink.links import (
     AmbientSpace,
     Direction,
-    InvalidInput,
     Relation,
     RelationStep,
     TorusLink,
-    apply_relation,
     isotopic,
     make_link,
     normal_form,
@@ -154,12 +152,6 @@ def test_a_direction_that_is_not_a_member_is_rejected():
     assert not verify_chain((step,), R4_TO, R4_FROM)
 
 
-@pytest.mark.parametrize("move", [("R1", FWD), (Relation.R1, "fwd")])
-def test_apply_relation_rejects_what_is_not_a_move(move):
-    with pytest.raises(InvalidInput):
-        apply_relation(R4_FROM, *move)
-
-
 def _corrupt(rng: random.Random, steps: tuple, b: TorusLink):
     """A seeded corruption of a chain from some a to b: (label, chain, end)."""
     if not steps:
@@ -221,7 +213,7 @@ def plain(chain) -> tuple:
 def test_a_plain_tuple_step_replays():
     assert verify_chain(((Relation.R4, FWD, R4_FROM, R4_TO),), R4_FROM, R4_TO)
     assert verify_chain(plain(chain_steps()), tuple(A), tuple(B))
-    assert apply_relation((S3, 1, 3, 0), Relation.R2).after == (S3, 3, 1, 0)
+    assert verify_chain(((Relation.R2, FWD, (S3, 1, 3, 0), (S3, 3, 1, 0)),))
 
 
 @pytest.mark.parametrize("space", [S3, RP3])
@@ -257,8 +249,12 @@ def test_a_chain_may_be_a_generator():
     None, 7, (Relation.R4, FWD, R4_FROM), (Relation.R4, FWD, R4_FROM, R4_TO, R4_TO),
     (Relation.R4, FWD, None, R4_TO), (Relation.R4, BWD, R4_TO, None),
     (Relation.R4, FWD, ("s3", 0, 1, 1), ("s3", 0, 0, 2)),
-], ids=["None", "int", "3-tuple", "5-tuple", "before-None", "after-None", "str-space"])
+    (Relation.R4, FWD, ("s3", 1, 1, 1), ("s3", 0, 0, 2)),
+], ids=["None", "int", "3-tuple", "5-tuple", "before-None", "after-None", "str-space",
+        "str-space-read-as-rp3"])
 def test_an_element_that_is_not_a_step_gives_false(element):
+    # `_move` reads a space that is not S^3 as RP^3, where R4 takes
+    # (1, 1; 1) to (0, 0; 2): only the space check rejects the last element.
     assert verify_chain((element,)) is False
     assert verify_chain(chain_steps()[:1] + [element]) is False
 

@@ -240,13 +240,15 @@ class TestJsj:
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "jsj", "outermost",
                              str(tmp_path / "absent.json"))
-        assert code == 2 and out is None and "cannot read" in err
+        assert code == 2 and out is None
+        assert err.startswith("projlink: INVALID_INPUT: cannot read ")
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        code, out, _ = run(capsys, "jsj", "outermost", str(path))
+        code, out, err = run(capsys, "jsj", "outermost", str(path))
         assert code == 2 and out is None
+        assert err.startswith("projlink: INVALID_INPUT: cannot read ")
 
     @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200_000],
                              ids=["not-utf8", "too-deep"])
@@ -254,7 +256,8 @@ class TestJsj:
         path = tmp_path / "broken.json"
         path.write_bytes(content)
         code, out, err = run(capsys, "jsj", "cover-check", str(path))
-        assert code == 2 and out is None and "cannot read" in err
+        assert code == 2 and out is None
+        assert err.startswith("projlink: INVALID_INPUT: cannot read ")
 
 
 _KEYS = st.sampled_from(["vertices", "edges", "involution", "vertex_map", "id",
@@ -598,7 +601,7 @@ EXIT_CODE_ROWS = [
     ("jsj", 0, "—", ["jsj", "outermost", "{tree}"]),
     ("jsj", 1, "—", ["jsj", "cover-check", "{mismatch}"]),
     ("jsj", 1, "violations", ["jsj", "outermost", "{forbidden}"]),
-    ("jsj", 2, "—", ["jsj", "outermost", "{absent}"]),
+    ("jsj", 2, "INVALID_INPUT", ["jsj", "outermost", "{absent}"]),
     ("any", 0, "—", ["--help"]),
     ("any", 2, "usage", ["canon", "--space", "s3", "1.5", "1", "0"]),
     ("any", 2, "OUTPUT_ERROR", [test_no_stdout_is_exit_2_with_one_line_and_no_traceback]),

@@ -62,7 +62,7 @@ HOT_FUNCTIONS = [
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),
     (links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict"),
-    (links, "isotopic"), (links, "apply_relation"), (links, "lift"), (links, "_normal_form"),
+    (links, "isotopic"), (links, "verify_chain"), (links, "lift"), (links, "_normal_form"),
 ]
 ENCODERS = [(links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict")]
 
@@ -90,10 +90,10 @@ def test_hot_loops_read_no_enum_class(module, name):
 
 
 def test_normal_form_builds_its_chain_without_the_validating_replay():
-    # `canonical` computed each move; replaying it through apply_relation
-    # would re-check what cannot fail.  verify_chain is the replay.
+    # `canonical` computed each move; replaying it through verify_chain
+    # would re-check what cannot fail.  The chain pin replays every chain.
     normal_form = links._normal_form.__wrapped__  # under lru_cache
-    assert "apply_relation" not in _global_loads(normal_form.__code__)
+    assert "verify_chain" not in _global_loads(normal_form.__code__)
 
 
 # The cover check and the quotient allocate nothing per edge or vertex that

@@ -11,14 +11,12 @@ from projlink.links import (
     Direction,
     InvalidInput,
     InvalidN,
-    NotApplicable,
     Relation,
     SpaceMismatch,
     TorusLink,
     WrongSpace,
     _MOVES,
     _move,
-    apply_relation,
     classify,
     ClassificationKind,
     component_count,
@@ -97,16 +95,15 @@ class TestApplicability:
         ]
 
     def test_rp3_handlebody_swap(self):
-        link = make_link(RP3, 1, 3, 0)
         assert _move(RP3, Relation.R2, Direction.FORWARD, 1, 3, 0) == (5, 3, 0)
-        step = apply_relation(link, Relation.R2)
-        assert step.after == make_link(RP3, 5, 3, 0)
 
     def test_no_swap_with_one_core(self):
         assert _move(S3, Relation.R2, Direction.FORWARD, 3, 2, 1) is None
 
 
 class TestApplyRelation:
+    """Single moves, applied by `_move`."""
+
     @pytest.mark.parametrize("space,before,rel,after", [
         (S3, (2, 2, 0), Relation.R3, (1, 1, 1)),
         (S3, (1, 1, 1), Relation.R4, (0, 0, 2)),
@@ -114,44 +111,40 @@ class TestApplyRelation:
         (RP3, (2, 2, 1), Relation.R4, (1, 1, 2)),
     ])
     def test_forward_reductions(self, space, before, rel, after):
-        step = apply_relation(make_link(space, *before), rel)
-        assert step.after == make_link(space, *after)
+        assert _move(space, rel, Direction.FORWARD, *before) == after
 
     def test_not_applicable(self):
-        with pytest.raises(NotApplicable):
-            apply_relation(make_link(S3, 2, 3, 0), Relation.R3)
-        with pytest.raises(NotApplicable):
-            apply_relation(make_link(S3, 2, 2, 1), Relation.R2)
+        assert _move(S3, Relation.R3, Direction.FORWARD, 2, 3, 0) is None
+        assert _move(S3, Relation.R2, Direction.FORWARD, 2, 2, 1) is None
 
     @given(triples | big_triples())
     def test_backward_inverts_forward(self, link):
         space, p, q, n = link
         for rel in (Relation.R3, Relation.R4):
-            if _move(space, rel, Direction.FORWARD, p, q, n) is None:
+            after = _move(space, rel, Direction.FORWARD, p, q, n)
+            if after is None:
                 continue
-            step = apply_relation(link, rel)
-            _, ap, aq, an = step.after
-            assert _move(space, rel, Direction.BACKWARD, ap, aq, an) is not None
+            back = _move(space, rel, Direction.BACKWARD, *after)
+            assert back is not None
             # The backward map may pick a different canonical preimage only
             # at the degenerate triples (0,0;1) and (0,0;2).
-            back = apply_relation(step.after, rel, Direction.BACKWARD)
-            if (step.after.p, step.after.q) != (0, 0):
-                assert back.after == link
+            if after[:2] != (0, 0):
+                assert back == (p, q, n)
 
     @given(triples | big_triples())
     def test_forward_inverts_backward(self, link):
         space, p, q, n = link
         for rel in (Relation.R3, Relation.R4):
-            if _move(space, rel, Direction.BACKWARD, p, q, n) is None:
+            back = _move(space, rel, Direction.BACKWARD, p, q, n)
+            if back is None:
                 continue
-            back = apply_relation(link, rel, Direction.BACKWARD)
-            assert apply_relation(back.after, rel).after == link
+            assert _move(space, rel, Direction.FORWARD, *back) == (p, q, n)
 
 
 # Per space: SHA-256 of one line per triple with |p|, |q| <= 40, listing its
 # applicable moves and the image of every relation in both directions ("-"
-# where NotApplicable is raised).  Recorded before the moves were rewritten
-# on one integer function, so it pins every move the calculus makes.
+# where `_move` gives None).  Recorded before the moves were rewritten on
+# one integer function, so it pins every move the calculus makes.
 MOVE_DIGESTS_BOUND_40 = {
     S3: "89b573419d009c6e4effb5e58ad0881959192d247d4d31910cfcaf68338b4e07",
     RP3: "5c982b17f261c93874bdec8e956fbf2fe7ab0b7749b2e9219755145ecd68d0c7",
@@ -164,18 +157,13 @@ def test_every_move_at_bound_40_is_unchanged(space):
     for p in range(-40, 41):
         for q in range(-40, 41):
             for n in (0, 1, 2):
-                link = TorusLink(space, p, q, n)
                 listed = " ".join(f"{r.value}{d.value}" for r, d in _MOVES
                                   if _move(space, r, d, p, q, n) is not None)
                 images = []
                 for relation in Relation:
                     for direction in Direction:
-                        try:
-                            after = apply_relation(link, relation, direction).after
-                        except NotApplicable:
-                            images.append("-")
-                        else:
-                            images.append(f"{after.p},{after.q},{after.n}")
+                        after = _move(space, relation, direction, p, q, n)
+                        images.append("-" if after is None else ",".join(map(str, after)))
                 digest.update(f"{p},{q},{n} {listed} {' '.join(images)}\n".encode())
     assert digest.hexdigest() == MOVE_DIGESTS_BOUND_40[space]
 
@@ -218,14 +206,11 @@ class TestNormalForm:
     @given(triples)
     @settings(max_examples=300)
     def test_forward_reductions_shrink(self, link):
+        space, p, q, n = link
         for rel in (Relation.R3, Relation.R4):
-            try:
-                step = apply_relation(link, rel, Direction.FORWARD)
-            except NotApplicable:
-                continue
-            before = abs(step.before.p) + abs(step.before.q)
-            after = abs(step.after.p) + abs(step.after.q)
-            assert after < before
+            after = _move(space, rel, Direction.FORWARD, p, q, n)
+            if after is not None:
+                assert abs(after[0]) + abs(after[1]) < abs(p) + abs(q)
 
 
 class TestIsotopic:
@@ -275,10 +260,10 @@ class TestLift:
     @settings(max_examples=200)
     def test_relations_lift_to_isotopies(self, link):
         for rel, direction in _MOVES:
-            if _move(RP3, rel, direction, link.p, link.q, link.n) is None:
+            after = _move(RP3, rel, direction, link.p, link.q, link.n)
+            if after is None:
                 continue
-            step = apply_relation(link, rel, direction)
-            ok, _ = isotopic(lift(step.before), lift(step.after))
+            ok, _ = isotopic(lift(link), lift(TorusLink(RP3, *after)))
             assert ok, (link, rel, direction)
 
 
@@ -320,11 +305,10 @@ class TestInvalidInput:
     # not an AmbientSpace as RP^3, and TorusLink's repr cannot print it, so
     # neither SpaceMismatch nor WrongSpace can name the link.
     @pytest.mark.parametrize("query", [normal_form, classify,
-                                       lambda link: apply_relation(link, Relation.R2),
                                        lambda link: isotopic(link, make_link(S3, 0, 3, 0)),
                                        lambda link: isotopic(make_link(S3, 0, 3, 0), link),
                                        lift],
-                             ids=["normal_form", "classify", "apply_relation",
+                             ids=["normal_form", "classify",
                                   "isotopic_first", "isotopic_second", "lift"])
     def test_a_hand_built_link_in_no_space_is_invalid_input(self, query):
         with pytest.raises(InvalidInput, match="space must be an AmbientSpace, got 's3'"):

@@ -23,9 +23,9 @@ from projlink.jsj import JsjTree
 SURFACE = {
     links: {
         "AmbientSpace", "CalculusError", "Classification", "ClassificationKind",
-        "Direction", "InvalidInput", "InvalidN", "NotApplicable", "Relation",
+        "Direction", "InvalidInput", "InvalidN", "Relation",
         "RelationStep", "SpaceMismatch", "TorusLink", "WrongSpace",
-        "apply_relation", "canonical", "chain_to_list", "classify", "component_count",
+        "canonical", "chain_to_list", "classify", "component_count",
         "isotopic", "lift", "link_to_dict", "make_link", "normal_form",
         "verify_chain",
     },
