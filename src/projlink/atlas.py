@@ -2,10 +2,10 @@
 
 The universe at bound B is every triple with |p|, |q| <= B and n in
 {0, 1, 2}.  Classes are keyed by normal form and stored in normal-form
-order; an independent union-find closure of the same universe under the
-moves cross-checks the greedy normal-form strategy, and two further verifiers
-exercise the double-cover lift: relation-by-relation compatibility and
-injectivity on classes.  The closure audit and lift injectivity each
+order; a union-find closure of the same universe under the kernel's moves,
+`_move`, cross-checks the greedy normal-form strategy, and two further
+verifiers exercise the double-cover lift: relation-by-relation
+compatibility and injectivity on classes.  The closure audit and lift injectivity each
 compare two partitions of the universe, through one helper, `_cross_check`.
 Every scan runs on plain (p, q, n) triples in lexicographic order;
 `TorusLink`s are built only for atlas members and for the violations a
@@ -29,8 +29,6 @@ from .links import (
     _check_space,
     _lift,
     _move,
-    _reduce,
-    _swap,
     canonical,
     link_to_dict,
 )
@@ -123,14 +121,14 @@ def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
 
 
 def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
-    """Union-find closure of the bounded universe under all relation moves.
+    """Union-find closure of the box |p|, |q| <= B under the kernel's moves.
 
-    Works on positions in _triples(bound) in a flat parent list.  R1 and R2
-    are involutions, so each of their pairs is joined once, from its later
-    position; a reduction is joined from its source, and its image, scaled
-    by (k - 1)/k, stays in the universe.  Every class is rooted at its least
-    position, so at its lexicographically least triple.  Returns the root of
-    every position.
+    Works on positions in _triples(bound) in a flat parent list.  Each
+    triple is joined to every image `_move` gives it over `_MOVES` that
+    lies in the box, so R1 and R2 pairs are joined from both ends and a
+    backward move joins what a forward move joins, reversed.  Every class
+    is rooted at its least position, so at its lexicographically least
+    triple.  Returns the root of every position.
     """
     triples = _triples(bound)  # rejects a negative bound before the list is built
     width = 2 * bound + 1
@@ -143,24 +141,17 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
         return x
 
     for i, (p, q, n) in enumerate(triples):
-        j = ((bound - p) * width + bound - q) * 3 + n  # R1 keeps |p| and |q|
-        targets = [j] if j < i else []
-        if n != 1:
-            ip, iq = _swap(space, p, q)
-            if abs(ip) <= bound and abs(iq) <= bound:
-                j = ((ip + bound) * width + iq + bound) * 3 + n
-                if j < i:
-                    targets.append(j)
-        reduced = _reduce(space, p, q, n)
-        if reduced is not None:
-            ip, iq = reduced
-            targets.append(((ip + bound) * width + iq + bound) * 3 + n + 1)
-        for j in targets:
-            a, b = find(i), find(j)
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
+        for relation, direction in _MOVES:
+            image = _move(space, relation, direction, p, q, n)
+            if image is None:
+                continue
+            p2, q2, n2 = image
+            if abs(p2) <= bound and abs(q2) <= bound:
+                a, b = find(i), find(((p2 + bound) * width + q2 + bound) * 3 + n2)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
     return [find(x) for x in range(len(parent))]
 
 

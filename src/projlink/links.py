@@ -18,8 +18,8 @@ images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
 take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
 integers: `normal_form` builds its chains from it, `verify_chain` replays
-them through it, and the atlas's relation-lift verifier runs it over
-`_MOVES`.
+them through it, and the atlas's confluence closure joins its images and its
+relation-lift verifier tries them, both over `_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
 three straight-line blocks: an R3 reduction (n = 0 -> 1) and an R4
@@ -219,8 +219,9 @@ def _move(space: AmbientSpace, relation: Relation, direction: Direction,
     return None if image is None else (*image, low)
 
 
-# Every move, in the order the relation-lift verifier tries them.  R1 and R2
-# are involutions, listed forward only.
+# Every move: the atlas's confluence closure joins these, and its relation-lift
+# verifier tries them, in this order.  R1 and R2 are involutions, listed
+# forward only.
 _MOVES = (
     (Relation.R1, Direction.FORWARD),
     (Relation.R2, Direction.FORWARD),
@@ -231,19 +232,20 @@ _MOVES = (
 )
 
 
-def verify_chain(chain: Iterable[RelationStep], start: TorusLink | None = None,
-                 end: TorusLink | None = None) -> bool:
-    """True when every step replays and the steps join from `start` to `end`.
+def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink) -> bool:
+    """True when every step replays and the steps join `start` to `end`.
 
-    Steps are 4-tuples `relation, direction, before, after` in any iterable,
-    links too; a backward step replays forward from `after` to `before`.
-    Each step replays through `_move`, whose None for a move that does not
-    apply fails the comparison's unpacking.
+    Both endpoints are required, so a True names the two links it joins; an
+    empty chain joins a link to itself only.  Steps are 4-tuples `relation,
+    direction, before, after` in any iterable, links too; a backward step
+    replays forward from `after` to `before`.  Each step replays through
+    `_move`, whose None for a move that does not apply fails the
+    comparison's unpacking.
     """
     cur = start
     try:
         for relation, direction, before, after in chain:
-            if cur is not None and before != cur:
+            if before != cur:
                 return False
             cur = after
             if direction is _BACKWARD:
@@ -259,7 +261,7 @@ def verify_chain(chain: Iterable[RelationStep], start: TorusLink | None = None,
                 return False
     except Exception:  # a chain that cannot be replayed certifies nothing
         return False
-    return cur is None or end is None or cur == end
+    return cur == end
 
 
 # ---------------------------------------------------------------------------

@@ -64,10 +64,10 @@ MUTANTS = [
             "                    and relation is not _R4 or ", "(",
      REPLAY + "::test_a_relation_that_is_not_a_member_is_rejected"),
     ("verify_chain does not join a step to the one before",
-     LINKS, "if cur is not None and before != cur:", "if False:",
+     LINKS, "if before != cur:", "if False:",
      REPLAY + "::test_broken_link_between_steps_is_rejected"),
     ("verify_chain does not compare the last link with the end",
-     LINKS, "return cur is None or end is None or cur == end", "return True",
+     LINKS, "return cur == end", "return True",
      REPLAY + "::test_wrong_start_or_end_is_rejected"),
     # The divisors.
     ("R3's divisor is q", LINKS, "        k = p\n", "        k = q\n", CANONICAL_PIN),
@@ -101,12 +101,14 @@ MUTANTS = [
      LINKS, "else (1, 1, 1)", "else (0, 1, 1)", MOVE_PIN + "[AmbientSpace.RP3]"),
     # The confluence closure and the cross-check.  A root at the greatest
     # position keeps the partition but reorders the reported groups.
+    ("the closure drops the images with |p| = B",
+     ATLAS, "if abs(p2) <= bound", "if abs(p2) < bound", UNION_FIND),
     ("the closure never joins R1 pairs",
-     ATLAS, "targets = [j] if j < i else []", "targets = []", UNION_FIND),
-    ("the closure joins R2 pairs at n = 0 only", ATLAS, "if n != 1:", "if n == 0:", UNION_FIND),
+     ATLAS, "for relation, direction in _MOVES:\n            image = _move(space,",
+     "for relation, direction in _MOVES[1:]:\n            image = _move(space,", UNION_FIND),
     ("the closure roots a class at its greatest position",
-     ATLAS, "parent[b] = a\n            elif b < a:\n                parent[a] = b",
-     "parent[a] = b\n            elif b < a:\n                parent[b] = a",
+     ATLAS, "parent[b] = a\n                elif b < a:\n                    parent[a] = b",
+     "parent[a] = b\n                elif b < a:\n                    parent[b] = a",
      "tests/test_atlas.py::test_seeded_fault_reports_are_unchanged"),
     ("_cross_check reports no pair that shares b but not a",
      ATLAS, "((by_a, split), (by_b, lambda _: joined))", "((by_a, split),)",
@@ -119,7 +121,8 @@ MUTANTS = [
      ATLAS, "key = (canonical(s3, *_lift(p, q), n), canonical(rp3, p, q, n))",
      "key = (canonical(rp3, p, q, n), canonical(rp3, p, q, n))", LIFT_INJECTIVITY),
     ("relation-lift tries no backward move",
-     ATLAS, "for relation, direction in _MOVES:", "for relation, direction in _MOVES[::2]:",
+     ATLAS, "for relation, direction in _MOVES:\n            image = _move(rp3,",
+     "for relation, direction in _MOVES[::2]:\n            image = _move(rp3,",
      "tests/test_atlas.py::TestRelationLiftCompatibility::test_report_is_unchanged"),
     # The JSJ tree and cover checks.  test_cycle_rejected does not kill the
     # first: its cycle also breaks the edge count.

@@ -25,6 +25,7 @@ from projlink.links import (
     AmbientSpace,
     Direction,
     InvalidInput,
+    Relation,
     TorusLink,
     _MOVES,
     _lift,
@@ -450,6 +451,17 @@ def test_seeded_fault_violations_are_the_oracles(monkeypatch, space, bound):
                 expected |= {(x, y, evidence) for x in ga for y in gb}
     assert len(violations) == len(set(violations))
     assert set(violations) == expected
+
+
+@pytest.mark.parametrize("space", [S3, RP3])
+def test_a_kernel_fault_reaches_the_audit(monkeypatch, space):
+    # The closure takes every image from the move kernel, so a kernel in
+    # which R2 never applies splits classes that `canonical` still joins.
+    monkeypatch.setattr(atlas_module, "_move", lambda space, relation, *rest:
+                        None if relation is Relation.R2 else _move(space, relation, *rest))
+    violations = confluence_audit(space, 2).violations
+    assert violations
+    assert {v["evidence"] for v in violations} == {JOINED}
 
 
 @pytest.mark.parametrize("argv, count", [

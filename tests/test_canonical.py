@@ -114,7 +114,7 @@ def test_large_chains_replay_and_keep_component_count(link):
 
 @pytest.mark.parametrize("space", [S3, RP3])
 def test_confluence_audit_at_bound_20(space):
-    report = confluence_audit(space, 20)  # closure over |p|, |q| <= 60
+    report = confluence_audit(space, 20)  # closure over |p|, |q| <= 20
     assert report.violations == ()
 
 
