@@ -7,9 +7,9 @@ order; a union-find closure of the same universe under the kernel's moves,
 verifiers exercise the double-cover lift: relation-by-relation
 compatibility and injectivity on classes.  The closure audit and lift injectivity each
 compare two partitions of the universe, through one helper, `_cross_check`.
-Every scan runs on plain (p, q, n) triples in lexicographic order;
-`TorusLink`s are built only for atlas members and for the violations a
-verifier reports.  `Atlas` and `VerificationReport` are named tuples; a
+Every scan runs on plain (p, q, n) triples in lexicographic order, and an
+atlas holds them plain, so its writer formats them directly: `TorusLink`s
+are built only for the violations a verifier reports and by `Atlas.to_dict`.  `Atlas` and `VerificationReport` are named tuples; a
 report built without `notes` has None there.  `Atlas.write_json` writes
 its document in blocks, never holding all of it.
 """
@@ -38,19 +38,19 @@ _BLOCK = 1 << 16  # least characters per write; unbuffered, each write is a sysc
 
 
 class Atlas(namedtuple("Atlas", "space bound classes")):
-    __slots__ = ()  # classes: normal form -> members, in normal-form order
+    __slots__ = ()  # classes: normal form -> members, plain (p, q, n), in normal-form order
 
     def to_dict(self) -> dict:
+        space = self.space
+
+        def record(t: tuple) -> dict:
+            return link_to_dict(TorusLink(space, *t))
+
         return {
-            "space": self.space.value,
+            "space": space.value,
             "bound": self.bound,
-            "classes": [
-                {
-                    "normal_form": link_to_dict(key),
-                    "members": [link_to_dict(m) for m in members],
-                }
-                for key, members in self.classes.items()
-            ],
+            "classes": [{"normal_form": record(key), "members": list(map(record, members))}
+                        for key, members in self.classes.items()],
         }
 
     def write_json(self, out) -> None:
@@ -68,9 +68,9 @@ class Atlas(namedtuple("Atlas", "space bound classes")):
         size = len(block[0])
         for i, (key, members) in enumerate(self.classes.items()):
             text = ((",\n    {" if i else "    {") + '\n      "members": [\n        '
-                    + ",\n        ".join([member % (m.n, m.p, m.q) for m in members])
+                    + ",\n        ".join([member % (n, p, q) for p, q, n in members])
                     + '\n      ],\n      "normal_form": '
-                    + normal_form % (key.n, key.p, key.q) + "\n    }")
+                    + normal_form % (key[2], key[0], key[1]) + "\n    }")
             block.append(text)
             size += len(text)
             if size >= _BLOCK:
@@ -112,11 +112,11 @@ def _triples(bound: int):
 def enumerate_classes(space: AmbientSpace, bound: int) -> Atlas:
     """Partition the bounded universe by normal form, in normal-form order."""
     _check_space(space)  # the scan reads plain triples, so no make_link checks it
-    buckets: dict[tuple[int, int, int], list[TorusLink]] = {}
-    for p, q, n in _triples(bound):
-        buckets.setdefault(canonical(space, p, q, n), []).append(TorusLink(space, p, q, n))
+    buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for t in _triples(bound):
+        buckets.setdefault(canonical(space, *t), []).append(t)
     # The scan is in (p, q, n) order, so every class comes out sorted.
-    classes = {TorusLink(space, *key): tuple(buckets[key]) for key in sorted(buckets)}
+    classes = {key: tuple(buckets[key]) for key in sorted(buckets)}
     return Atlas(space, bound, classes)
 
 

@@ -36,6 +36,7 @@ POTENTIAL = "tests/test_jsj.py::TestPotential"
 QUOTIENT = "tests/test_jsj.py::TestQuotient"
 LEMMA44 = "tests/test_jsj.py::TestLemma44"
 REPLAY = "tests/test_chain_replay.py"
+READER = "tests/test_cli.py::test_reader_returns_argparse_values_or_none"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
 # Each test is the cheapest one found to kill its mutant.  `canonical` has
@@ -155,6 +156,15 @@ MUTANTS = [
     ("the generator gives a fixed piece the back labels (other, st)",
      GENERATORS, "_FIXED_BACK = (_ST, _OTHER)", "_FIXED_BACK = (_OTHER, _ST)",
      "tests/test_jsj_pins.py::test_cover_stream_is_unchanged"),
+    # The atlas writer formats plain (p, q, n) triples.
+    ("the atlas writer swaps p and q in member records",
+     ATLAS, "member % (n, p, q) for p, q, n", "member % (n, q, p) for p, q, n",
+     "tests/test_canonical.py::test_atlas_stdout_is_unchanged"),
+    # The argv reader must return argparse's values or None.
+    ("the reader takes any token that starts with - as a positional",
+     CLI, "return token[1:].isdigit() and token.isascii()", "return True", READER),
+    ("the reader skips the choices check",
+     CLI, 'if "choices" in spec and', "if False and", READER),
     # The exit codes: verify and cover-check exit 1 when a property is refuted.
     ("verify exits 0 on a violation",
      CLI, "return 0 if report.ok else 1", "return 0",

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -12,13 +13,13 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import projlink
 from projlink import atlas
-from projlink.cli import main
-from test_readme import readme_table
+from projlink.cli import _build_parser, _read, main
+from test_readme import README, ROOT, readme_table
 
 
 def run(capsys, *argv):
@@ -355,6 +356,48 @@ def test_cli_does_not_import_atlas_or_jsj():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def _audit_commands() -> list[list[str]]:
+    """atlas-audit's commands, read from AUDIT_COMMANDS in perfbench/run.py."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["AUDIT_COMMANDS"])
+    return [list(argv) for _, argv, _ in ast.literal_eval(table)]
+
+
+AUDIT_COMMANDS = _audit_commands()
+
+
+def test_valid_commands_import_neither_argparse_nor_gettext(tmp_path):
+    # argparse imports gettext, whose first translated string imports locale.
+    # A valid command in a documented spelling is read without them; --help
+    # still goes through argparse.
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(JSJ_FILES["tree"]))
+    commands = AUDIT_COMMANDS + [["canon", "--space", "s3", "2", "3", "0"],
+                                 ["isotopic", "--space", "rp3", "4", "0", "0", "2", "0", "2"],
+                                 ["lift", "2", "1", "1"], ["jsj", "outermost", str(tree)]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from projlink.cli import main\n"
+        "def loaded():\n"
+        "    return [name for name in ('argparse', 'gettext') if name in sys.modules]\n"
+        "seen = [loaded()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "    seen.append(loaded())\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        seen.append(loaded())\n"
+        "print(json.dumps([codes, seen]))\n")
+    src = os.path.dirname(os.path.dirname(projlink.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    codes, seen = json.loads(proc.stdout)
+    assert codes == [0] * len(commands)
+    assert seen == [[], [], ["argparse", "gettext"]]
+
+
 def _cap_address_space():
     # 1 GiB: ample for the interpreter, while the confluence closure at bound
     # 100000 needs terabytes, so its allocation fails at once.
@@ -658,3 +701,61 @@ def test_exit_code_table_row(command, code, stderr, argv, capsys, monkeypatch, t
     else:
         assert coded == ([] if stderr == "—" else [stderr])
     assert "Traceback" not in err
+
+
+# The reader against argparse.  Each argv is one of the exit-code rows, a
+# README example, an atlas-audit command, or a command and tokens of the mix,
+# then edited at up to two places with tokens of the mix.  Wherever the
+# reader returns values, argparse must parse the argv to the same values.
+MIX = ["canon", "isotopic", "lift", "atlas", "verify", "jsj", "lift-injectivity",
+       "confluence", "relation-lift", "outermost", "cover-check",
+       "--space", "--bound", "--sp", "--bound=3", "-h", "--help", "--", "-",
+       "-0", "-5", "-5 ", "-1.5", "+3", "1_000", "\u0663", "-\u0663", "",
+       "s3", "rp3", "s4", "0", "1", "2", "3", NINES, "-" + NINES, NINES + "9"]
+FILES = {name: f"{name}.json" for name in [*JSJ_FILES, "absent"]}
+README_EXAMPLES = [line.split("#")[0].split()[1:]
+                   for line in README.split("## CLI\n")[1].split("```")[1].splitlines()
+                   if line.startswith("projlink ")]
+DOCUMENTED = ([[arg.format(**FILES) for arg in argv]
+               for *_, argv in EXIT_CODE_ROWS if not callable(argv[0])]
+              + README_EXAMPLES + AUDIT_COMMANDS)
+# Half the drawn tokens start with "-", where argparse's reading of a token is subtle.
+TOKENS = st.sampled_from([token for token in MIX if token[:1] == "-"]) | st.sampled_from(MIX)
+PARSER = _build_parser()
+
+
+@st.composite
+def _argvs(draw):
+    if draw(st.booleans()):
+        argv = list(draw(st.sampled_from(DOCUMENTED)))
+    else:
+        argv = [draw(st.sampled_from(MIX[:6]))] + draw(st.lists(TOKENS, max_size=7))
+    for _ in range(draw(st.integers(0, 2))):  # insert, replace or delete a token
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = draw(st.lists(TOKENS, max_size=1))
+    return argv
+
+
+def _argparse_values(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:  # help or a usage error
+            return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs())
+# A dash token the reader must not take as a value, and a value outside choices.
+@example(argv=["jsj", "outermost", "-h"])
+@example(argv=["canon", "--space", "s4", "1", "1", "0"])
+def test_reader_returns_argparse_values_or_none(argv):
+    got = _read(argv)
+    if got is not None:
+        assert got == _argparse_values(argv)
+
+
+def test_documented_spellings_are_read_without_argparse():
+    for argv in README_EXAMPLES + AUDIT_COMMANDS:
+        got = _read(argv)
+        assert got is not None and got == _argparse_values(argv), argv
