@@ -23,7 +23,9 @@ from itertools import product
 from .links import (
     AmbientSpace,
     TorusLink,
+    _FORWARD,
     _MOVES,
+    _RELATIONS,
     _RP3,
     _SPHERE3,
     _check_space,
@@ -124,11 +126,10 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
     """Union-find closure of the box |p|, |q| <= B under the kernel's moves.
 
     Works on positions in _triples(bound) in a flat parent list.  Each
-    triple is joined to every image `_move` gives it over `_MOVES` that
-    lies in the box, so R1 and R2 pairs are joined from both ends and a
-    backward move joins what a forward move joins, reversed.  Every class
-    is rooted at its least position, so at its lexicographically least
-    triple.  Returns the root of every position.
+    triple is joined to its forward R1-R4 images under `_move` that lie in
+    the box; a backward image is a forward preimage, so that is every edge.
+    Every class is rooted at its least position, so at its
+    lexicographically least triple.  Returns the root of every position.
     """
     triples = _triples(bound)  # rejects a negative bound before the list is built
     width = 2 * bound + 1
@@ -141,8 +142,8 @@ def _closure_roots(space: AmbientSpace, bound: int) -> list[int]:
         return x
 
     for i, (p, q, n) in enumerate(triples):
-        for relation, direction in _MOVES:
-            image = _move(space, relation, direction, p, q, n)
+        for relation in _RELATIONS:
+            image = _move(space, relation, _FORWARD, p, q, n)
             if image is None:
                 continue
             p2, q2, n2 = image

@@ -106,6 +106,8 @@ def _cmd_atlas(space: str, bound: int) -> int:
 
 
 def _cmd_verify(kind: str, space: str | None, bound: int | None) -> int:
+    if kind != "confluence" and space is not None:
+        _build_parser().error(f"verify {kind} runs in RP^3 and takes no --space")
     from . import atlas
 
     bound = _VERIFIERS[kind] if bound is None else bound
@@ -288,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         args = _read(argv)
         if args is None:  # a usage error or --help ends in SystemExit
             args = vars(_build_parser().parse_args(argv))
-        if (args["command"] == "verify" and args["kind"] != "confluence"
-                and args["space"] is not None):
-            _build_parser().error(f"verify {args['kind']} runs in RP^3 and takes no --space")
         code = _GRAMMAR[args.pop("command")][1](**args)
         sys.stdout.flush()
         return code

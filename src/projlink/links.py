@@ -17,9 +17,10 @@ a backward move reads it off the image as k - 1 and scales by (k + 1)/k.  The
 images (0, 0; 1) and (0, 0; 2) have many preimages, so the backward moves
 take a fixed one: (1, 0; 0) for R3, and for R4 (0, 1; 1) in S^3 and
 (1, 1; 1) in RP^3.  `_move` is the one definition of every move, on plain
-integers: `normal_form` builds its chains from it, `verify_chain` replays
-them through it, and the atlas's confluence closure joins its images and its
-relation-lift verifier tries them, both over `_MOVES`.
+integers.  `normal_form` builds its chains from its forward moves,
+`verify_chain` replays them forward through it, and the atlas's confluence
+closure joins its forward images; only the relation-lift verifier also
+tries the backward moves, over `_MOVES`.
 
 `canonical(space, p, q, n)` computes the normal form on plain integers in
 three straight-line blocks: an R3 reduction (n = 0 -> 1) and an R4
@@ -72,7 +73,7 @@ class Direction(Enum):
 # on 3.11 reading one through its class costs more than ten times a
 # module-level name.
 _SPHERE3, _RP3 = AmbientSpace.SPHERE3, AmbientSpace.RP3
-_R1, _R2, _R3, _R4 = Relation.R1, Relation.R2, Relation.R3, Relation.R4
+_R1, _R2, _R3, _R4 = _RELATIONS = tuple(Relation)
 _FORWARD, _BACKWARD = Direction.FORWARD, Direction.BACKWARD
 
 
@@ -219,9 +220,9 @@ def _move(space: AmbientSpace, relation: Relation, direction: Direction,
     return None if image is None else (*image, low)
 
 
-# Every move: the atlas's confluence closure joins these, and its relation-lift
-# verifier tries them, in this order.  R1 and R2 are involutions, listed
-# forward only.
+# Every move, in the order the atlas's relation-lift verifier tries them.  R1
+# and R2 are involutions, listed forward only.  The confluence closure joins
+# the forward moves alone: a backward image is a forward preimage.
 _MOVES = (
     (Relation.R1, Direction.FORWARD),
     (Relation.R2, Direction.FORWARD),
@@ -232,6 +233,17 @@ _MOVES = (
 )
 
 
+def _exact_link(link: TorusLink) -> tuple | None:
+    """`link` as a plain tuple if it is a space and three exact ints with n in
+    {0, 1, 2}, else None: the test of `make_link`'s fast path."""
+    space, p, q, n = link
+    # By identity: `_move` reads any other space as RP^3.
+    if ((space is _SPHERE3 or space is _RP3)
+            and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
+        return space, p, q, n
+    return None
+
+
 def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink) -> bool:
     """True when every step replays and the steps join `start` to `end`.
 
@@ -240,11 +252,17 @@ def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink
     direction, before, after` in any iterable, links too; a backward step
     replays forward from `after` to `before`.  Each step replays through
     `_move`, whose None for a move that does not apply fails the
-    comparison's unpacking.
+    comparison's unpacking.  Every link is read through `_exact_link`, and
+    only its plain tuple is compared: a float, a bool, an int subclass or an
+    `__eq__` of the caller's could otherwise equal an image it is not.
     """
-    cur = start
     try:
+        cur, end = _exact_link(start), _exact_link(end)
+        if cur is None:
+            return False
         for relation, direction, before, after in chain:
+            # A None `after` fails its replay below, or its unpacking if swapped.
+            before, after = _exact_link(before), _exact_link(after)
             if before != cur:
                 return False
             cur = after
@@ -253,9 +271,9 @@ def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink
             elif direction is not _FORWARD:
                 return False
             space, p, q, n = before
-            # By identity: `_move` reads any other relation as R4, any other space as RP^3.
+            # By identity: `_move` reads any other relation as R4.
             if (relation is not _R1 and relation is not _R2 and relation is not _R3
-                    and relation is not _R4 or space is not _SPHERE3 and space is not _RP3):
+                    and relation is not _R4):
                 return False
             if after != (space, *_move(space, relation, _FORWARD, p, q, n)):
                 return False
@@ -336,6 +354,7 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     """Canonical representative of the isotopy class, with a move chain.
 
     The chain holds the moves `canonical` applied, built by `_move`; `verify_chain` checks it.
+    A link that is not cached must pass `make_link`'s checks, or this raises its error.
     """
     return _normal_form(link)
 
@@ -355,7 +374,15 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 @lru_cache(maxsize=1 << 13)
 def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     space, p, q, n = link
-    _check_space(space)  # canonical reads any other space as RP^3
+    # make_link's rule, its fast test inline: an invalid link raises before
+    # anything is cached.  `canonical` reads any other space as RP^3 and
+    # computes on floats; an int subclass is read as its int, so the chain,
+    # which a later equal query gets from the cache, holds exact ints.
+    if not ((space is _SPHERE3 or space is _RP3)
+            and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
+        make_link(space, p, q, n)
+        link = _tuple_new(TorusLink, (space, int(p), int(q), int(n)))
+        p, q, n = link[1:]
     moves = []
     canonical(space, p, q, n, moves)
     steps = []
@@ -396,7 +423,10 @@ def _lift(p: int, q: int) -> tuple[int, int]:
 
 
 def lift(link: TorusLink) -> TorusLink:
-    """Preimage in S^3 under the double cover, by `_lift`."""
+    """Preimage in S^3 under the double cover, by `_lift`.
+
+    Checks the space only, not the coordinates: build the link with make_link.
+    """
     if link.space is not _RP3:
         _check_space(link.space)
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")

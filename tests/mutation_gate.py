@@ -36,6 +36,7 @@ POTENTIAL = "tests/test_jsj.py::TestPotential"
 QUOTIENT = "tests/test_jsj.py::TestQuotient"
 LEMMA44 = "tests/test_jsj.py::TestLemma44"
 REPLAY = "tests/test_chain_replay.py"
+MEMO = "tests/test_memo.py"
 READER = "tests/test_cli.py::test_reader_returns_argparse_values_or_none"
 
 # (what the mutant does, module under src/, snippet, replacement, test).
@@ -53,17 +54,47 @@ MUTANTS = [
      LINKS, "moves += (*path, _R3)", "moves += (*path, _R4)", CHAIN_PIN),
     ("canonical records the orbit path R1 R2 as R2 R1",
      LINKS, "(_R1,), (_R2,), (_R1, _R2)", "(_R1,), (_R2,), (_R2, _R1)", CHAIN_PIN),
+    # The normal-form cache keeps only valid links, with chains of exact ints.
+    ("normal_form checks nothing on a cache miss",
+     LINKS, "    if not ((space is _SPHERE3 or space is _RP3)",
+     "    if False and not ((space is _SPHERE3 or space is _RP3)",
+     MEMO + "::test_a_miss_on_an_invalid_link_raises_and_caches_nothing"),
+    ("normal_form keeps an int subclass in its chain",
+     LINKS, "\n        link = _tuple_new(TorusLink, (space, int(p), int(q), int(n)))"
+            "\n        p, q, n = link[1:]", "",
+     MEMO + "::test_an_int_subclass_link_caches_a_chain_of_exact_ints"),
     ("normal_form marks its steps backward",
      LINKS, "(relation, _FORWARD, before, link)", "(relation, _BACKWARD, before, link)",
      CHAIN_PIN),
-    # The trusted replay: each check of `verify_chain` dropped.
+    # The trusted replay: each check of `verify_chain` and `_exact_link` dropped.
     ("verify_chain reads a space that is not an AmbientSpace as RP^3",
-     LINKS, " or space is not _SPHERE3 and space is not _RP3):", "):",
+     LINKS, "if ((space is _SPHERE3 or space is _RP3)\n", "if (True\n",
      REPLAY + "::test_an_element_that_is_not_a_step_gives_false"),
     ("verify_chain reads a relation that is not a Relation as R4",
-     LINKS, "(relation is not _R1 and relation is not _R2 and relation is not _R3\n"
-            "                    and relation is not _R4 or ", "(",
+     LINKS, "if (relation is not _R1 and relation is not _R2 and relation is not _R3\n"
+            "                    and relation is not _R4):", "if False:",
      REPLAY + "::test_a_relation_that_is_not_a_member_is_rejected"),
+    ("verify_chain takes any coordinate, not only an exact int",
+     LINKS, "and type(p) is type(q) is type(n) is int and 0 <= n <= 2):\n        return space",
+     "and 0 <= n <= 2):\n        return space", REPLAY + "::test_a_float_chain_is_rejected"),
+    ("verify_chain takes any n",
+     LINKS, "is int and 0 <= n <= 2):\n        return space", "is int):\n        return space",
+     REPLAY + "::test_a_step_with_n_outside_0_to_2_is_rejected"),
+    ("verify_chain compares start as given",
+     LINKS, "cur, end = _exact_link(start), _exact_link(end)",
+     "cur, end = start, _exact_link(end)", REPLAY + "::test_a_forged_endpoint_is_rejected"),
+    ("verify_chain compares end as given",
+     LINKS, "cur, end = _exact_link(start), _exact_link(end)",
+     "cur, end = _exact_link(start), end", REPLAY + "::test_a_forged_endpoint_is_rejected"),
+    ("verify_chain lets an empty chain join an invalid link to itself",
+     LINKS, "if cur is None:", "if False:",
+     REPLAY + "::test_an_empty_chain_of_an_invalid_link_is_rejected"),
+    ("verify_chain replays a step's before as given",
+     LINKS, "before, after = _exact_link(before), _exact_link(after)",
+     "after = _exact_link(after)", REPLAY + "::test_a_forged_before_is_rejected"),
+    ("verify_chain compares a step's after as given",
+     LINKS, "before, after = _exact_link(before), _exact_link(after)",
+     "before = _exact_link(before)", REPLAY + "::test_a_forged_after_is_rejected"),
     ("verify_chain does not join a step to the one before",
      LINKS, "if before != cur:", "if False:",
      REPLAY + "::test_broken_link_between_steps_is_rejected"),
@@ -105,8 +136,15 @@ MUTANTS = [
     ("the closure drops the images with |p| = B",
      ATLAS, "if abs(p2) <= bound", "if abs(p2) < bound", UNION_FIND),
     ("the closure never joins R1 pairs",
-     ATLAS, "for relation, direction in _MOVES:\n            image = _move(space,",
-     "for relation, direction in _MOVES[1:]:\n            image = _move(space,", UNION_FIND),
+     ATLAS, "for relation in _RELATIONS:", "for relation in _RELATIONS[1:]:", UNION_FIND),
+    ("the closure never joins R2 pairs",
+     ATLAS, "for relation in _RELATIONS:", "for relation in _RELATIONS[::2] + _RELATIONS[3:]:",
+     UNION_FIND),
+    ("the closure never joins R3 pairs",
+     ATLAS, "for relation in _RELATIONS:", "for relation in _RELATIONS[:2] + _RELATIONS[3:]:",
+     UNION_FIND),
+    ("the closure never joins R4 pairs",
+     ATLAS, "for relation in _RELATIONS:", "for relation in _RELATIONS[:3]:", UNION_FIND),
     ("the closure roots a class at its greatest position",
      ATLAS, "parent[b] = a\n                elif b < a:\n                    parent[a] = b",
      "parent[a] = b\n                elif b < a:\n                    parent[b] = a",

@@ -264,3 +264,94 @@ def test_an_element_that_is_not_a_step_gives_false(element):
 @pytest.mark.parametrize("chain", [None, 7])
 def test_a_chain_that_is_not_iterable_gives_false(chain):
     assert verify_chain(chain, A, B) is False
+
+
+# ---------------------------------------------------------------------------
+# Every link the replay reads, endpoints and steps, must be a space and three
+# exact ints with n in {0, 1, 2}.  Each chain below joins two links that are
+# not isotopic, or replays on values no valid link holds; a replay that read
+# such coordinates would certify it.  NEAR and FAR are not isotopic.
+NEAR, FAR = make_link(S3, 1, 2, 0), make_link(S3, 5, 7, 0)
+
+
+class _Any:
+    """A coordinate equal to everything."""
+
+    def __eq__(self, other):
+        return True
+
+
+class _AnyInt(int):
+    """An int equal to everything; as a subclass it is asked first."""
+
+    def __eq__(self, other):
+        return True
+
+
+class _AnyTuple(tuple):
+    """A link equal to everything, whatever its coordinates."""
+
+    def __eq__(self, other):
+        return True
+
+
+@pytest.fixture(params=[_Any, _AnyInt], ids=["object", "int-subclass"])
+def forged(request):
+    """A link whose p and q equal everything."""
+    return (S3, request.param(), request.param(), 0)
+
+
+def test_a_forged_after_is_rejected(forged):
+    # R1 takes NEAR to (-1, -2; 0), which `forged` equals; so does FAR.
+    assert isotopic(NEAR, FAR) == (False, None)
+    assert verify_chain([(Relation.R1, FWD, NEAR, forged)], NEAR, FAR) is False
+
+
+def test_a_forged_before_is_rejected(forged):
+    # `forged` equals NEAR, and R2 in S^3 swaps its coordinates unread.
+    assert verify_chain([(Relation.R2, FWD, forged, FAR)], NEAR, FAR) is False
+
+
+def test_a_forged_endpoint_is_rejected(forged):
+    assert verify_chain((), forged, FAR) is False
+    assert verify_chain((), NEAR, forged) is False
+    assert verify_chain((), _AnyTuple(NEAR), FAR) is False
+    assert verify_chain((), NEAR, _AnyTuple(FAR)) is False
+
+
+@pytest.mark.parametrize("link", [(S3, 1.0, 2, 0), (S3, 1, 2, 5), (S3, True, 2, 0)],
+                         ids=["float", "n-5", "bool"])
+def test_an_empty_chain_of_an_invalid_link_is_rejected(link):
+    assert verify_chain((), link, link) is False
+    assert verify_chain((), link, NEAR) is False
+
+
+def test_a_float_chain_is_rejected():
+    # Above 2^53 a float rounds: R3 would take 2^60 parallel copies to 2^60 + 1.
+    a = make_link(S3, 2**60, 3 * 2**60, 0)
+    b = make_link(S3, 2**60, 3 * 2**60, 1)
+    step = (Relation.R3, FWD, (S3, 2.0**60, 3 * 2.0**60, 0), (S3, 2.0**60, 3 * 2.0**60, 1))
+    assert isotopic(a, b) == (False, None)
+    assert verify_chain([step], a, b) is False
+
+
+def test_a_step_with_n_outside_0_to_2_is_rejected():
+    a, b = (S3, 1, 2, 5), (S3, -1, -2, 5)
+    assert verify_chain([(Relation.R1, FWD, a, b)], a, b) is False
+
+
+def test_a_bool_coordinate_is_rejected():
+    # True == 1, and R1 takes (1, 0; 0) to (-1, 0; 0).
+    a, b = make_link(S3, 1, 0, 0), make_link(S3, -1, 0, 0)
+    assert verify_chain([(Relation.R1, FWD, a, b)], a, b)
+    assert verify_chain([(Relation.R1, FWD, (S3, True, 0, 0), b)], a, b) is False
+    assert verify_chain([(Relation.R1, FWD, a, (S3, -1, False, 0))], a, b) is False
+
+
+def test_a_numpy_int64_chain_is_rejected():
+    np = pytest.importorskip("numpy")
+    # In RP^3, R2 takes (0, 2^62; 0) to (2^63, 2^62; 0); int64 wraps 2^63 to -2^63.
+    a, b = make_link(RP3, 0, 2**62, 0), make_link(RP3, -2**63, 2**62, 0)
+    step = (Relation.R2, FWD, (RP3, np.int64(0), np.int64(2**62), 0), b)
+    assert isotopic(a, b) == (False, None)
+    assert verify_chain([step], a, b) is False

@@ -625,6 +625,8 @@ JSJ_FILES = {
     "forbidden": FORBIDDEN_TREE,
 }
 NINES = "9" * 4300  # the most digits int() reads by default
+# An Arabic-Indic 3, a sign with digit underscores, and a padded 0: `lift 3 1000 0`.
+INT_SPELLINGS = ["lift", "\u0663", "+1_000", " 0"]
 EXIT_CODE_ROWS = [
     ("canon", 0, "—", ["canon", "--space", "s3", "2", "2", "0"]),
     ("canon", 2, "INVALID_N", ["canon", "--space", "s3", "1", "1", "3"]),
@@ -646,6 +648,7 @@ EXIT_CODE_ROWS = [
     ("jsj", 1, "violations", ["jsj", "outermost", "{forbidden}"]),
     ("jsj", 2, "INVALID_INPUT", ["jsj", "outermost", "{absent}"]),
     ("any", 0, "—", ["--help"]),
+    ("any", 0, "—", INT_SPELLINGS),
     ("any", 2, "usage", ["canon", "--space", "s3", "1.5", "1", "0"]),
     ("any", 2, "OUTPUT_ERROR", [test_no_stdout_is_exit_2_with_one_line_and_no_traceback]),
     ("any", 2, "OUTPUT_ERROR", [test_closed_stdout_is_exit_2_with_one_line_and_no_traceback,
@@ -664,6 +667,8 @@ def _row_id(row) -> str:
     name = f"{command}-{code}-{'none' if stderr == '—' else stderr}"
     if callable(argv[0]):  # test_no_stdout_... gives "-no-stdout"
         name += "-" + argv[0].__name__.removeprefix("test_").split("_stdout")[0] + "-stdout"
+    elif argv is INT_SPELLINGS:
+        name += "-int-spellings"
     return name
 
 
@@ -701,6 +706,13 @@ def test_exit_code_table_row(command, code, stderr, argv, capsys, monkeypatch, t
     else:
         assert coded == ([] if stderr == "—" else [stderr])
     assert "Traceback" not in err
+
+
+def test_an_integer_is_read_in_every_spelling_int_accepts(capsys):
+    assert main(INT_SPELLINGS) == 0
+    spelled = capsys.readouterr().out
+    assert main(["lift", "3", "1000", "0"]) == 0
+    assert capsys.readouterr().out == spelled
 
 
 # The reader against argparse.  Each argv is one of the exit-code rows, a

@@ -20,6 +20,8 @@ import projlink
 from projlink import links
 from projlink.links import (
     AmbientSpace,
+    InvalidInput,
+    InvalidN,
     TorusLink,
     canonical,
     classify,
@@ -141,6 +143,50 @@ def test_classify_fills_the_memo_that_normal_form_reads(cache, calls):
     assert normal_form(link) is normal_form(link)
     assert classify(link) == verdict
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Only valid links are cached.  A hand-built link equal to a valid one is
+# its cache key, so a miss checks make_link's rule before anything is kept:
+# a later valid query must get a chain of exact ints, which `verify_chain`
+# replays and the wire format prints as integers.
+
+
+class _Int(int):
+    pass
+
+
+def _exact_ints(nf: TorusLink, chain: tuple) -> bool:
+    links_read = [nf, *(link for step in chain for link in step[2:])]
+    return all(type(x) is int for link in links_read for x in link[1:])
+
+
+@pytest.mark.parametrize("link, error", [
+    (TorusLink(S3, 6.0, 4.0, 0), InvalidInput), (TorusLink(S3, True, 0, 0), InvalidInput),
+    (TorusLink("s3", 6, 4, 0), InvalidInput), (TorusLink(S3, 1, 2, 5), InvalidN),
+], ids=["float", "bool", "str-space", "n-5"])
+def test_a_miss_on_an_invalid_link_raises_and_caches_nothing(cache, link, error):
+    with pytest.raises(error) as exc:
+        normal_form(link)
+    assert type(exc.value) is error
+    assert cache.cache_info().currsize == 0
+
+
+def test_a_float_query_leaves_no_chain_for_the_equal_valid_link(cache):
+    with pytest.raises(InvalidInput):
+        normal_form(TorusLink(S3, 6.0, 4.0, 0))
+    valid = make_link(S3, 6, 4, 0)
+    nf, chain = normal_form(valid)
+    assert _exact_ints(nf, chain) and verify_chain(chain, valid, nf)
+
+
+def test_an_int_subclass_link_caches_a_chain_of_exact_ints(cache):
+    odd = make_link(S3, _Int(6), _Int(4), _Int(0))
+    nf, chain = normal_form(odd)
+    assert chain and _exact_ints(nf, chain)
+    plain = make_link(S3, 6, 4, 0)
+    assert normal_form(plain) == (nf, chain)  # a cache hit
+    assert verify_chain(chain, plain, nf)
 
 
 # ---------------------------------------------------------------------------
