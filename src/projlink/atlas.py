@@ -5,13 +5,16 @@ The universe at bound B is every triple with |p|, |q| <= B and n in
 order; a union-find closure of the same universe under the kernel's moves,
 `_move`, cross-checks the greedy normal-form strategy, and two further
 verifiers exercise the double-cover lift: relation-by-relation
-compatibility and injectivity on classes.  The closure audit and lift injectivity each
-compare two partitions of the universe, through one helper, `_cross_check`.
-Every scan runs on plain (p, q, n) triples in lexicographic order, and an
-atlas holds them plain, so its writer formats them directly: `TorusLink`s
-are built only for the violations a verifier reports and by `Atlas.to_dict`.  `Atlas` and `VerificationReport` are named tuples; a
-report built without `notes` has None there.  `Atlas.write_json` writes
-its document in blocks, never holding all of it.
+compatibility and injectivity on classes.  The closure audit and lift
+injectivity each compare two partitions of the universe, through one
+helper, `_cross_check`.  Every scan runs on plain (p, q, n) triples in
+lexicographic order, and an atlas holds them plain, so its writer formats
+them directly: `TorusLink`s are built only for the violations a verifier
+reports and by `Atlas.to_dict`.
+
+`Atlas` and `VerificationReport` are named tuples; a report built without
+`notes` has None there.  `Atlas.write_json` writes its document in blocks,
+never holding all of it.
 """
 
 from __future__ import annotations

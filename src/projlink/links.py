@@ -34,8 +34,9 @@ chain, for either verdict; `isotopic` and `classify` read it, so each side
 is reduced at most once.
 
 The records are named tuples, each equal to the plain tuple of its fields,
-and a witness chain is the plain tuple of its steps.  `verify_chain` replays
-any iterable of such tuples in one pass and returns a verdict for anything.
+and a witness chain is the plain tuple of its steps.  `make_link` is the one
+definition of a link, of exact ints; the normal-form cache reads links through
+it, and so does `verify_chain`, which gives any iterable a verdict.
 """
 
 from __future__ import annotations
@@ -149,17 +150,21 @@ def _check_space(space: AmbientSpace) -> None:
 
 
 def make_link(space: AmbientSpace, p: int, q: int, n: int) -> TorusLink:
-    """Build a validated triple; n must be 0, 1 or 2."""
-    _check_space(space)
-    # One test for the common case; the loop below orders the errors.
-    if type(p) is type(q) is type(n) is int and 0 <= n <= 2:
+    """The one definition of a link: a space, then exact ints p, q and n in {0, 1, 2}.
+
+    An int subclass other than bool is read by `int.__index__`, which it
+    cannot override, and n's range is checked on that value."""
+    if ((space is _SPHERE3 or space is _RP3)
+            and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
         return _tuple_new(TorusLink, (space, p, q, n))
+    _check_space(space)
     for name, value in (("p", p), ("q", q), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    p, q, n = int.__index__(p), int.__index__(q), int.__index__(n)
     if n not in (0, 1, 2):
         raise InvalidN(f"n must be 0, 1 or 2, got {n}")
-    return TorusLink(space, p, q, n)
+    return _tuple_new(TorusLink, (space, p, q, n))
 
 
 def component_count(link: TorusLink) -> int:
@@ -233,17 +238,6 @@ _MOVES = (
 )
 
 
-def _exact_link(link: TorusLink) -> tuple | None:
-    """`link` as a plain tuple if it is a space and three exact ints with n in
-    {0, 1, 2}, else None: the test of `make_link`'s fast path."""
-    space, p, q, n = link
-    # By identity: `_move` reads any other space as RP^3.
-    if ((space is _SPHERE3 or space is _RP3)
-            and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
-        return space, p, q, n
-    return None
-
-
 def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink) -> bool:
     """True when every step replays and the steps join `start` to `end`.
 
@@ -252,17 +246,14 @@ def verify_chain(chain: Iterable[RelationStep], start: TorusLink, end: TorusLink
     direction, before, after` in any iterable, links too; a backward step
     replays forward from `after` to `before`.  Each step replays through
     `_move`, whose None for a move that does not apply fails the
-    comparison's unpacking.  Every link is read through `_exact_link`, and
-    only its plain tuple is compared: a float, a bool, an int subclass or an
-    `__eq__` of the caller's could otherwise equal an image it is not.
+    comparison's unpacking.  Every link is read as `make_link(*link)`, an error
+    giving False, so no float, bool or `__eq__` of the caller's is compared
+    with an image it would falsely equal.
     """
     try:
-        cur, end = _exact_link(start), _exact_link(end)
-        if cur is None:
-            return False
+        cur, end = make_link(*start), make_link(*end)
         for relation, direction, before, after in chain:
-            # A None `after` fails its replay below, or its unpacking if swapped.
-            before, after = _exact_link(before), _exact_link(after)
+            before, after = make_link(*before), make_link(*after)
             if before != cur:
                 return False
             cur = after
@@ -373,16 +364,11 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 #   VmHWM                    21.5   24.4    27.4 MB
 @lru_cache(maxsize=1 << 13)
 def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
+    # Read through `make_link`, its fast test inline: calling it costs a miss more than noise.
     space, p, q, n = link
-    # make_link's rule, its fast test inline: an invalid link raises before
-    # anything is cached.  `canonical` reads any other space as RP^3 and
-    # computes on floats; an int subclass is read as its int, so the chain,
-    # which a later equal query gets from the cache, holds exact ints.
     if not ((space is _SPHERE3 or space is _RP3)
             and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
-        make_link(space, p, q, n)
-        link = _tuple_new(TorusLink, (space, int(p), int(q), int(n)))
-        p, q, n = link[1:]
+        space, p, q, n = link = make_link(*link)
     moves = []
     canonical(space, p, q, n, moves)
     steps = []
@@ -437,16 +423,18 @@ def classify(link: TorusLink) -> Classification:
     """Empty, split (non-Seifert) or Seifert-fibered complement.
 
     The split families are T(0, c; 0) with c >= 2 in either space and
-    T(2m, m; 1) with m = c - 1 >= 1 in RP^3, c the component count.  The
+    T(2m, m; 1) with m = c - 1 >= 1 in RP^3, c the component count, an isotopy
+    invariant: R1 and R2 keep gcd(p, q), R3 and R4 trade a copy for a core.  The
     link's normal form comes from the cache `normal_form` reads; the members'
     are in closed form: in S^3 T(0, c; 0) -> (1 - c, 0; 1) by R2, R3 and R1
     (R4's k = q = 0); in RP^3 T(0, c; 0) -> (-2c, -c; 0) by R1 R2 (R3's k = 2c
     does not divide c) and T(2m, m; 1) -> (-2m, -m; 1) by R1 (R4's k = 0).
     """
-    nf = _normal_form(link)[0][1:]
+    nf = _normal_form(link)[0]
+    c = component_count(nf)  # exact ints, unlike a hand-built link on a cache hit
+    nf = nf[1:]
     if nf == (0, 0, 0):
         return _EMPTY_LINK
-    c = component_count(link)
     if c >= 2:
         rp3 = link.space is _RP3
         if nf == ((-2 * c, -c, 0) if rp3 else (1 - c, 0, 1)):

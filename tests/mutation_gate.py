@@ -6,8 +6,9 @@ Run it from the repository root with the test dependencies installed; it
 takes no options.  First the named tests run against an unmutated copy of
 `src/` and must pass.  Then, for each mutant, `src/` is copied to a
 temporary directory, one snippet of one module is replaced, and the named
-test runs against the copy in a fresh interpreter.  The gate exits 1 if a
-snippet is not found exactly once, if the unmutated copy fails, or if a
+test runs against the copy in a fresh interpreter.  The mutants run side by
+side, one per CPU, and their results print in list order.  The gate exits 1
+if a snippet is not found exactly once, if the unmutated copy fails, or if a
 mutant's test passes.  pytest does not collect this file: its name does not
 start with `test_`.
 """
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINKS = "projlink/links.py"
@@ -38,6 +40,9 @@ LEMMA44 = "tests/test_jsj.py::TestLemma44"
 REPLAY = "tests/test_chain_replay.py"
 MEMO = "tests/test_memo.py"
 READER = "tests/test_cli.py::test_reader_returns_argparse_values_or_none"
+# `make_link`'s slow path: an int subclass read as its int, then n's range.
+INDEX = "    p, q, n = int.__index__(p), int.__index__(q), int.__index__(n)\n"
+RANGE = '    if n not in (0, 1, 2):\n        raise InvalidN(f"n must be 0, 1 or 2, got {n}")\n'
 
 # (what the mutant does, module under src/, snippet, replacement, test).
 # Each test is the cheapest one found to kill its mutant.  `canonical` has
@@ -56,45 +61,48 @@ MUTANTS = [
      LINKS, "(_R1,), (_R2,), (_R1, _R2)", "(_R1,), (_R2,), (_R2, _R1)", CHAIN_PIN),
     # The normal-form cache keeps only valid links, with chains of exact ints.
     ("normal_form checks nothing on a cache miss",
-     LINKS, "    if not ((space is _SPHERE3 or space is _RP3)",
-     "    if False and not ((space is _SPHERE3 or space is _RP3)",
+     LINKS, "        space, p, q, n = link = make_link(*link)", "        pass",
      MEMO + "::test_a_miss_on_an_invalid_link_raises_and_caches_nothing"),
-    ("normal_form keeps an int subclass in its chain",
-     LINKS, "\n        link = _tuple_new(TorusLink, (space, int(p), int(q), int(n)))"
-            "\n        p, q, n = link[1:]", "",
-     MEMO + "::test_an_int_subclass_link_caches_a_chain_of_exact_ints"),
     ("normal_form marks its steps backward",
      LINKS, "(relation, _FORWARD, before, link)", "(relation, _BACKWARD, before, link)",
      CHAIN_PIN),
-    # The trusted replay: each check of `verify_chain` and `_exact_link` dropped.
-    ("verify_chain reads a space that is not an AmbientSpace as RP^3",
-     LINKS, "if ((space is _SPHERE3 or space is _RP3)\n", "if (True\n",
+    # `make_link`, the one definition of a link: each of its checks dropped.
+    # Its fast test is the only check an exact-int link meets.
+    ("make_link takes any space with exact ints",
+     LINKS, "    if ((space is _SPHERE3 or space is _RP3)\n", "    if (True\n",
      REPLAY + "::test_an_element_that_is_not_a_step_gives_false"),
+    ("make_link takes any coordinate, not only an exact int",
+     LINKS, "and type(p) is type(q) is type(n) is int and 0 <= n <= 2):\n        return _tuple_new",
+     "and 0 <= n <= 2):\n        return _tuple_new", REPLAY + "::test_a_float_chain_is_rejected"),
+    ("make_link takes any exact-int n",
+     LINKS, "is int and 0 <= n <= 2):\n        return _tuple_new",
+     "is int):\n        return _tuple_new",
+     REPLAY + "::test_a_step_with_n_outside_0_to_2_is_rejected"),
+    ("make_link keeps an int subclass",
+     LINKS, INDEX, "", "tests/test_canon_query.py::test_make_link_accepts_int_subclasses"),
+    ("make_link reads an int subclass by its __int__",
+     LINKS, "int.__index__(p), int.__index__(q), int.__index__(n)", "int(p), int(q), int(n)",
+     MEMO + "::test_an_int_subclass_is_cached_as_its_value_not_its_int"),
+    ("make_link checks n's range before reading n as an int",
+     LINKS, INDEX + RANGE, RANGE + INDEX,
+     "tests/test_canon_query.py::test_make_link_error_precedence"),
+    # The trusted replay: each check of `verify_chain` dropped.
     ("verify_chain reads a relation that is not a Relation as R4",
      LINKS, "if (relation is not _R1 and relation is not _R2 and relation is not _R3\n"
             "                    and relation is not _R4):", "if False:",
      REPLAY + "::test_a_relation_that_is_not_a_member_is_rejected"),
-    ("verify_chain takes any coordinate, not only an exact int",
-     LINKS, "and type(p) is type(q) is type(n) is int and 0 <= n <= 2):\n        return space",
-     "and 0 <= n <= 2):\n        return space", REPLAY + "::test_a_float_chain_is_rejected"),
-    ("verify_chain takes any n",
-     LINKS, "is int and 0 <= n <= 2):\n        return space", "is int):\n        return space",
-     REPLAY + "::test_a_step_with_n_outside_0_to_2_is_rejected"),
     ("verify_chain compares start as given",
-     LINKS, "cur, end = _exact_link(start), _exact_link(end)",
-     "cur, end = start, _exact_link(end)", REPLAY + "::test_a_forged_endpoint_is_rejected"),
+     LINKS, "cur, end = make_link(*start), make_link(*end)",
+     "cur, end = start, make_link(*end)", REPLAY + "::test_a_forged_endpoint_is_rejected"),
     ("verify_chain compares end as given",
-     LINKS, "cur, end = _exact_link(start), _exact_link(end)",
-     "cur, end = _exact_link(start), end", REPLAY + "::test_a_forged_endpoint_is_rejected"),
-    ("verify_chain lets an empty chain join an invalid link to itself",
-     LINKS, "if cur is None:", "if False:",
-     REPLAY + "::test_an_empty_chain_of_an_invalid_link_is_rejected"),
+     LINKS, "cur, end = make_link(*start), make_link(*end)",
+     "cur, end = make_link(*start), end", REPLAY + "::test_a_forged_endpoint_is_rejected"),
     ("verify_chain replays a step's before as given",
-     LINKS, "before, after = _exact_link(before), _exact_link(after)",
-     "after = _exact_link(after)", REPLAY + "::test_a_forged_before_is_rejected"),
+     LINKS, "before, after = make_link(*before), make_link(*after)",
+     "after = make_link(*after)", REPLAY + "::test_a_forged_before_is_rejected"),
     ("verify_chain compares a step's after as given",
-     LINKS, "before, after = _exact_link(before), _exact_link(after)",
-     "before = _exact_link(before)", REPLAY + "::test_a_forged_after_is_rejected"),
+     LINKS, "before, after = make_link(*before), make_link(*after)",
+     "before = make_link(*before)", REPLAY + "::test_a_forged_after_is_rejected"),
     ("verify_chain does not join a step to the one before",
      LINKS, "if before != cur:", "if False:",
      REPLAY + "::test_broken_link_between_steps_is_rejected"),
@@ -230,27 +238,33 @@ def copy_src(tmp: str) -> pathlib.Path:
     return src
 
 
+def run_mutant(mutant: tuple) -> tuple[bool, str]:
+    """Apply `mutant` to a copy of `src/` and run its test: (a failure, its line)."""
+    what, module, snippet, replacement, test = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        src = copy_src(tmp)
+        path = src / module
+        text = path.read_text()
+        if text.count(snippet) != 1:
+            return True, (f"NOT APPLIED: {what}: {snippet!r} occurs {text.count(snippet)} "
+                          f"times in src/{module}")
+        path.write_text(text.replace(snippet, replacement))
+        survived, seconds, last = run_tests(src, [test])
+    return survived, f"{'SURVIVED' if survived else 'killed'} in {seconds:.1f} s: {what}: {last}"
+
+
 def main() -> int:
-    failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         passed, seconds, last = run_tests(copy_src(tmp), sorted({m[-1] for m in MUTANTS}))
     print(f"unmutated: {'passed' if passed else 'FAILED'} in {seconds:.1f} s: {last}")
     if not passed:
         return 1
-    for what, module, snippet, replacement, test in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            src = copy_src(tmp)
-            path = src / module
-            text = path.read_text()
-            if text.count(snippet) != 1:
-                print(f"NOT APPLIED: {what}: {snippet!r} occurs {text.count(snippet)} times "
-                      f"in src/{module}")
-                failures += 1
-                continue
-            path.write_text(text.replace(snippet, replacement))
-            survived, seconds, last = run_tests(src, [test])
-        print(f"{'SURVIVED' if survived else 'killed'} in {seconds:.1f} s: {what}: {last}")
-        failures += survived
+    failures = 0
+    # Each mutant has its own copy and interpreter; a thread only waits on it.
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for failed, line in pool.map(run_mutant, MUTANTS):
+            print(line, flush=True)
+            failures += failed
     return 1 if failures else 0
 
 

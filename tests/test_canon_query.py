@@ -155,6 +155,13 @@ class _Int(int):
     pass
 
 
+class _LyingN(int):
+    """An int equal to everything, so `n in (0, 1, 2)` holds for any value."""
+
+    def __eq__(self, other):
+        return True
+
+
 @pytest.mark.parametrize("args, error, message", [
     ((S3, "x", 0, 7), InvalidInput, "p must be an integer, got 'x'"),
     ((S3, 1.0, True, 0), InvalidInput, "p must be an integer, got 1.0"),
@@ -172,6 +179,8 @@ class _Int(int):
     (("s3", 0, 3, 0), InvalidInput, "space must be an AmbientSpace, got 's3'"),
     ((None, "x", 0, 7), InvalidInput, "space must be an AmbientSpace, got None"),
     (("rp3", 1, 2, 3), InvalidInput, "space must be an AmbientSpace, got 'rp3'"),
+    # n equal to everything: its range is checked on its int value.
+    ((S3, 1, 2, _LyingN(5)), InvalidN, "n must be 0, 1 or 2, got 5"),
 ])
 def test_make_link_error_precedence(args, error, message):
     with pytest.raises(error) as exc:
@@ -184,4 +193,4 @@ def test_make_link_accepts_int_subclasses():
     p, q, n = _Int(4), _Int(-6), _Int(2)
     link = make_link(RP3, p, q, n)
     assert link == (RP3, 4, -6, 2)
-    assert link.p is p and link.q is q and link.n is n
+    assert type(link.p) is type(link.q) is type(link.n) is int

@@ -295,6 +295,18 @@ class _AnyTuple(tuple):
         return True
 
 
+class _Int(int):
+    pass
+
+
+def test_the_chain_of_an_int_subclass_link_replays():
+    # `make_link` reads an int subclass as its int, and so does the replay.
+    a, b = make_link(S3, _Int(6), _Int(4), _Int(0)), make_link(S3, 4, 6, 0)
+    verdict, chain = isotopic(a, b)
+    assert verdict and verify_chain(chain, a, b)
+    assert verify_chain(chain, TorusLink(S3, _Int(6), _Int(4), _Int(0)), b)
+
+
 @pytest.fixture(params=[_Any, _AnyInt], ids=["object", "int-subclass"])
 def forged(request):
     """A link whose p and q equal everything."""

@@ -62,7 +62,7 @@ HOT_FUNCTIONS = [
     (generators, "random_cover_spec"),
     (links, "make_link"), (links, "classify"),
     (links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict"),
-    (links, "isotopic"), (links, "verify_chain"), (links, "_exact_link"), (links, "lift"),
+    (links, "isotopic"), (links, "verify_chain"), (links, "lift"),
     (links, "_normal_form"),
 ]
 ENCODERS = [(links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict")]

@@ -1,6 +1,7 @@
 """Unit and property tests for the torus-link calculus."""
 
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,14 @@ class TestComponentCount:
 
     def test_empty_family(self):
         assert component_count(make_link(RP3, 0, 0, 0)) == 0
+
+    # `classify` counts components on the normal form: R1 and R2 keep
+    # gcd(p, q), and R3 and R4 trade one parallel copy for a core.
+    @pytest.mark.parametrize("space", [S3, RP3])
+    def test_the_normal_form_keeps_the_count_at_bound_30(self, space):
+        for p, q, n in product(range(-30, 31), range(-30, 31), range(3)):
+            link = make_link(space, p, q, n)
+            assert component_count(normal_form(link)[0]) == component_count(link)
 
 
 class TestApplicability:

@@ -189,6 +189,32 @@ def test_an_int_subclass_link_caches_a_chain_of_exact_ints(cache):
     assert verify_chain(chain, plain, nf)
 
 
+class _Evil(int):
+    """An int whose `__int__` gives another value."""
+
+    def __int__(self):
+        return 7
+
+
+def test_an_int_subclass_is_cached_as_its_value_not_its_int(cache):
+    evil = make_link(S3, _Evil(6), 4, 0)
+    assert type(evil.p) is int and evil.p == 6
+    first = normal_form(evil)
+    valid = make_link(S3, 6, 4, 0)
+    nf, chain = normal_form(valid)
+    assert (nf, chain) == first and nf[1:] == canonical(S3, 6, 4, 0)
+    assert verify_chain(chain, valid, nf)
+    assert isotopic(valid, make_link(S3, 4, 6, 0))[0]
+
+
+def test_classify_counts_components_on_the_cached_normal_form(cache):
+    # A hit does not check the link, so its float coordinates reach classify.
+    normal_form(make_link(S3, 0, 3, 0))
+    verdict = classify(TorusLink(S3, 0.0, 3.0, 0))
+    assert verdict == classify(make_link(S3, 0, 3, 0))
+    assert verdict.detail == "split link of 3 fibers in a ball: T(0,3;0)"
+
+
 # ---------------------------------------------------------------------------
 # Bound and keys.
 
