@@ -7,13 +7,13 @@ or --help, 1 for a refuted property or a validation failure, 2 for usage
 errors, for a command that runs out of memory or whose --bound is too large
 to index, and for a stdout it cannot write, --help's included.
 
-Every command's arguments are written once, in `_GRAMMAR`.  `_read` parses
-argv straight from that table when argv is spelled as documented, and
-returns the values argparse would give; it leaves every other spelling to
-argparse (its docstring has the rules).  So argparse is imported, and its
-parser built from the same table, only for --help, a usage error, a
-spelling `_read` declines, and `verify`'s --space error; help text and
-usage errors are argparse's own.
+Every command's arguments are written once, in `_GRAMMAR`.  `_read` reads
+argv straight from that table when it gives the command's arguments in the
+order `_GRAMMAR` declares them, and returns the values argparse would give;
+anything else goes to argparse.  So argparse is imported, and its parser
+built from the same table, only for --help, a usage error, a spelling
+`_read` declines, and `verify`'s --space error; help text and usage errors
+are argparse's own.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 from .links import (
     AmbientSpace,
     CalculusError,
+    InvalidInput,
     chain_to_list,
     classify,
     component_count,
@@ -134,8 +135,7 @@ def _cmd_jsj(subcommand: str, input: str) -> int:
     # ValueError covers bytes that are not UTF-8 as well as malformed JSON;
     # nesting deeper than the decoder's recursion limit raises RecursionError.
     except (OSError, ValueError, RecursionError) as exc:
-        _diagnose(f"projlink: INVALID_INPUT: cannot read {input}: {exc}")
-        return 2
+        raise InvalidInput(f"cannot read {input}: {exc}") from None
     try:
         if subcommand == "outermost":
             tree = jsj.validate_tree(raw)
@@ -195,63 +195,43 @@ _GRAMMAR = {
 }
 
 
-def _number(token: str) -> bool:
-    """Whether a token that starts with "-" goes on in ASCII digits only: a
-    value to argparse in every version, not an option."""
-    return token[1:].isdigit() and token.isascii()
-
-
 def _read(argv: list[str]) -> dict | None:
     """The values argparse gives argv, with the command's name; None if unsure.
 
-    Accepts argv only when all of these hold, and then argparse parses it to
-    the same values:
-    - the command and every option name match `_GRAMMAR` exactly;
-    - each option appears once, followed by its value;
-    - a token that starts with "-", other than an option name, is ASCII
-      "-" and digits, which argparse reads as a value, not an option;
-    - the positionals form one contiguous run of the command's arity;
-    - each value converts with the argument's type and passes its choices.
-    Help, abbreviations, --opt=value, "--" and every error are argparse's.
+    One rule: argv gives the command's arguments in the order `_GRAMMAR`
+    declares them.  An option is read only there, as its exact name and one
+    value; an absent one is None, or declines if it is required.  A
+    positional takes its arity.  A value that starts with "-" must be ASCII
+    "-" and digits, which argparse reads as a value, not an option; each value
+    must convert with the argument's type and pass its choices; and no token
+    may be left over.  Anything else goes to argparse: options out of that
+    order, help, abbreviations, --opt=value, "--" and every error.
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    options, positionals, split = {}, [], False
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token[:1] != "-" or _number(token):
-            if split:
-                return None
-            positionals.append(token)
-            continue
-        value = next(tokens, None)
-        if value is None or token in options or value[:1] == "-" and not _number(value):
-            return None
-        options[token] = value
-        split = bool(positionals)
-    args = {"command": argv[0]}
+    args, tokens = {"command": argv[0]}, argv[1:]
     for name, spec in _GRAMMAR[argv[0]][2]:
-        dest = name.lstrip("-")
-        if name[0] != "-":
-            count = spec.get("nargs", 1)
-            given, positionals = positionals[:count], positionals[count:]
-            if len(given) < count:
-                return None
-        elif name in options:
-            given = [options.pop(name)]
-        elif spec.get("required"):
-            return None
-        else:
-            args[dest] = None
-            continue
+        dest, count = name.lstrip("-"), spec.get("nargs", 1)
+        if name[0] == "-":
+            if tokens[:1] != [name]:
+                if spec.get("required"):
+                    return None
+                args[dest] = None
+                continue
+            tokens = tokens[1:]
+        given, tokens = tokens[:count], tokens[count:]
         try:
-            values = [spec.get("type", str)(token) for token in given]
+            values = [spec.get("type", str)(token) for token in given
+                      if token[:1] != "-" or token[1:].isdigit() and token.isascii()]
         except ValueError:
+            return None
+        # Short of the arity: too few tokens, or one argparse reads as an option.
+        if len(values) < count:
             return None
         if "choices" in spec and not all(value in spec["choices"] for value in values):
             return None
         args[dest] = values if "nargs" in spec else values[0]
-    return None if options or positionals else args
+    return None if tokens else args
 
 
 def _build_parser():

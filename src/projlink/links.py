@@ -411,12 +411,14 @@ def _lift(p: int, q: int) -> tuple[int, int]:
 def lift(link: TorusLink) -> TorusLink:
     """Preimage in S^3 under the double cover, by `_lift`.
 
-    Checks the space only, not the coordinates: build the link with make_link.
+    Reads its link as `make_link(*link)`, as `verify_chain` does, so any
+    4-tuple that is a valid RP^3 link lifts, and an invalid one raises what
+    `make_link` raises, before the space is compared with RP^3.
     """
-    if link.space is not _RP3:
-        _check_space(link.space)
+    space, p, q, n = link = make_link(*link)
+    if space is not _RP3:
         raise WrongSpace(f"lift is defined on RP^3 links, got {link!r}")
-    return _tuple_new(TorusLink, (_SPHERE3, *_lift(link.p, link.q), link.n))
+    return _tuple_new(TorusLink, (_SPHERE3, *_lift(p, q), n))
 
 
 def classify(link: TorusLink) -> Classification:

@@ -109,6 +109,11 @@ MUTANTS = [
     ("verify_chain does not compare the last link with the end",
      LINKS, "return cur == end", "return True",
      REPLAY + "::test_wrong_start_or_end_is_rejected"),
+    # `lift` reads its link through `make_link` too.
+    ("lift reads its link as given",
+     LINKS, " = link = make_link(*link)\n    if space is not _RP3:",
+     " = link\n    if space is not _RP3:",
+     "tests/test_links.py::TestLift::test_a_coordinate_that_is_not_an_exact_int_is_invalid_input"),
     # The divisors.
     ("R3's divisor is q", LINKS, "        k = p\n", "        k = q\n", CANONICAL_PIN),
     ("R4's divisor in S^3 is p",
@@ -207,8 +212,10 @@ MUTANTS = [
      ATLAS, "member % (n, p, q) for p, q, n", "member % (n, q, p) for p, q, n",
      "tests/test_canonical.py::test_atlas_stdout_is_unchanged"),
     # The argv reader must return argparse's values or None.
-    ("the reader takes any token that starts with - as a positional",
-     CLI, "return token[1:].isdigit() and token.isascii()", "return True", READER),
+    ("the reader takes any token that starts with - as a value",
+     CLI, "token[1:].isdigit() and token.isascii()", "True", READER),
+    ("the reader ignores a token left over",
+     CLI, "return None if tokens else args", "return args", READER),
     ("the reader skips the choices check",
      CLI, 'if "choices" in spec and', "if False and", READER),
     # The exit codes: verify and cover-check exit 1 when a property is refuted.

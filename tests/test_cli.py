@@ -758,13 +758,42 @@ def _argparse_values(argv):
 
 @settings(max_examples=600, deadline=None)
 @given(argv=_argvs())
-# A dash token the reader must not take as a value, and a value outside choices.
+# A dash token the reader must not take as a value, a value outside choices,
+# and a token left over.
 @example(argv=["jsj", "outermost", "-h"])
 @example(argv=["canon", "--space", "s4", "1", "1", "0"])
+@example(argv=["lift", "2", "1", "1", "0"])
 def test_reader_returns_argparse_values_or_none(argv):
     got = _read(argv)
     if got is not None:
         assert got == _argparse_values(argv)
+
+
+# Every command spelled with its arguments in the order the CLI declares
+# them, optional options present or absent: integers of any sign, each
+# choice, and jsj paths that do not start with "-".
+_INTEGERS = st.integers(-10**40, 10**40).map(str)
+_SPACE_OPTION = st.sampled_from([["--space", "s3"], ["--space", "rp3"]])
+_BOUND_OPTION = _INTEGERS.map(lambda bound: ["--bound", bound])
+_DECLARED_ORDER = st.one_of(
+    st.tuples(st.just(["canon"]), _SPACE_OPTION, st.lists(_INTEGERS, min_size=3, max_size=3)),
+    st.tuples(st.just(["isotopic"]), _SPACE_OPTION,
+              st.lists(_INTEGERS, min_size=6, max_size=6)),
+    st.tuples(st.just(["lift"]), st.lists(_INTEGERS, min_size=3, max_size=3)),
+    st.tuples(st.just(["atlas"]), _SPACE_OPTION, _BOUND_OPTION),
+    st.tuples(st.just(["verify"]),
+              st.sampled_from([["confluence"], ["lift-injectivity"], ["relation-lift"]]),
+              st.just([]) | _SPACE_OPTION, st.just([]) | _BOUND_OPTION),
+    st.tuples(st.just(["jsj"]), st.sampled_from([["outermost"], ["cover-check"]]),
+              st.text(max_size=8).filter(lambda path: path[:1] != "-").map(lambda path: [path])),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_DECLARED_ORDER)
+def test_every_argv_in_declared_order_is_read_with_argparses_values(argv):
+    got = _read(argv)
+    assert got is not None and got == _argparse_values(argv)
 
 
 def test_documented_spellings_are_read_without_argparse():

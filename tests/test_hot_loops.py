@@ -8,8 +8,10 @@ below was recorded from the implementation before its loops were rewritten.
 
 The bytecode guard: on Python 3.11 reading an enum member through its class
 (`RegionLabel.OTHER`) costs more than ten times a module-level alias, so
-no per-element function loads an enum class as a global.  On 3.11 `value`
-is a Python-level property, so the wire encoders read `_value_` instead.
+no function or method of these four modules loads an enum class as a
+global.  The functions and the enum classes are found by rule, not listed,
+so a new one is guarded too.  On 3.11 `value` is a Python-level property,
+so the wire encoders read `_value_` instead.
 """
 
 import dis
@@ -17,6 +19,7 @@ import hashlib
 import json
 import random
 import types
+from enum import Enum
 
 import pytest
 
@@ -50,21 +53,35 @@ def test_vertex_and_potential_order_is_unchanged():
     assert order_digest() == ORDER_DIGEST
 
 
-ENUM_CLASSES = frozenset({"AmbientSpace", "Relation", "Direction", "RegionLabel", "Geometry",
-                          "ClassificationKind"})
-HOT_FUNCTIONS = [
-    (links, "_swap"), (links, "_reduce"), (links, "_move"), (links, "canonical"),
-    (atlas, "_closure_roots"), (atlas, "_cross_check"), (atlas, "verify_lift_injectivity"),
-    (atlas, "relation_lift_compatibility"),
-    (jsj, "validate_tree"), (jsj, "potential"), (jsj, "outermost"),
-    (jsj, "_involution_violations"), (jsj, "quotient"), (jsj, "lemma44_check"),
-    (generators, "_pruefer_edges"), (generators, "random_jsj_tree"),
-    (generators, "random_cover_spec"),
-    (links, "make_link"), (links, "classify"),
-    (links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict"),
-    (links, "isotopic"), (links, "verify_chain"), (links, "lift"),
-    (links, "_normal_form"),
-]
+MODULES = (links, atlas, jsj, generators)
+
+
+def _classes(module) -> dict[str, type]:
+    """The classes `module` defines, by name."""
+    return {name: obj for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__}
+
+
+def _functions(module) -> dict[str, types.FunctionType]:
+    """Every function and method whose code is in `module`, by test id."""
+    prefix = module.__name__.rsplit(".", 1)[1]
+    scopes = [(prefix, vars(module))]
+    scopes += [(f"{prefix}.{name}", vars(cls)) for name, cls in _classes(module).items()]
+    found = {}
+    for scope_id, scope in scopes:
+        for name, obj in scope.items():
+            obj = getattr(obj, "fget", obj)  # a property's getter
+            obj = getattr(obj, "__wrapped__", obj)  # under lru_cache
+            if (isinstance(obj, types.FunctionType)
+                    and obj.__code__.co_filename == module.__file__):
+                found[f"{scope_id}.{name}"] = obj
+    return found
+
+
+ENUM_CLASSES = frozenset(name for module in MODULES for name, cls in _classes(module).items()
+                         if issubclass(cls, Enum))
+HOT_FUNCTIONS = {name: function for module in MODULES
+                 for name, function in _functions(module).items()}
 ENCODERS = [(links, "link_to_dict"), (links, "chain_to_list"), (jsj, "tree_to_dict")]
 
 
@@ -82,11 +99,8 @@ def _global_loads(code: types.CodeType) -> set[str]:
     return _loads(code, ("LOAD_GLOBAL", "LOAD_NAME"))
 
 
-@pytest.mark.parametrize("module, name", HOT_FUNCTIONS,
-                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{n}" for m, n in HOT_FUNCTIONS])
-def test_hot_loops_read_no_enum_class(module, name):
-    function = vars(module)[name]
-    function = getattr(function, "__wrapped__", function)  # under lru_cache
+@pytest.mark.parametrize("function", HOT_FUNCTIONS.values(), ids=list(HOT_FUNCTIONS))
+def test_hot_loops_read_no_enum_class(function):
     assert not _global_loads(function.__code__) & ENUM_CLASSES
 
 

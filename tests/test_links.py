@@ -265,6 +265,18 @@ class TestLift:
         with pytest.raises(WrongSpace):
             lift(make_link(S3, 1, 1, 0))
 
+    # A link is read through make_link: a hand-built TorusLink with a float or
+    # bool coordinate has no lift, even in S^3, and a plain 4-tuple lifts.
+    @pytest.mark.parametrize("link", [TorusLink(RP3, 2.5, 1, 0), TorusLink(RP3, 2, True, 1),
+                                      TorusLink(S3, 2.0, 1, 0)],
+                             ids=["float", "bool", "float-in-s3"])
+    def test_a_coordinate_that_is_not_an_exact_int_is_invalid_input(self, link):
+        with pytest.raises(InvalidInput):
+            lift(link)
+
+    def test_a_plain_tuple_lifts(self):
+        assert lift((RP3, 2, 1, 1)) == make_link(S3, 2, 0, 1)
+
     @given(st.builds(make_link, st.just(RP3), coeffs, coeffs, st.integers(0, 2)))
     @settings(max_examples=200)
     def test_relations_lift_to_isotopies(self, link):
