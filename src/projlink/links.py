@@ -365,8 +365,9 @@ def normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
 @lru_cache(maxsize=1 << 13)
 def _normal_form(link: TorusLink) -> tuple[TorusLink, tuple[RelationStep, ...]]:
     # Read through `make_link`, its fast test inline: calling it costs a miss more than noise.
+    # A plain 4-tuple is rebuilt as a record, so the cache holds only records.
     space, p, q, n = link
-    if not ((space is _SPHERE3 or space is _RP3)
+    if not (type(link) is TorusLink and (space is _SPHERE3 or space is _RP3)
             and type(p) is type(q) is type(n) is int and 0 <= n <= 2):
         space, p, q, n = link = make_link(*link)
     moves = []
@@ -388,9 +389,9 @@ def isotopic(a: TorusLink, b: TorusLink) -> tuple[bool, tuple[RelationStep, ...]
     verdicts rest on the completeness of the four relations together with
     the empirical confluence audit of the atlas module.
     """
-    if a.space is not b.space:
-        _check_space(a.space)  # before the message's repr, which reads space.value
-        _check_space(b.space)
+    if a[0] is not b[0]:  # by position: a plain 4-tuple is a link too
+        _check_space(a[0])  # before the message's repr, which reads space.value
+        _check_space(b[0])
         raise SpaceMismatch(f"cannot compare {a!r} and {b!r}")
     nf_a, chain_a = _normal_form(a)
     nf_b, chain_b = _normal_form(b)
@@ -434,11 +435,11 @@ def classify(link: TorusLink) -> Classification:
     """
     nf = _normal_form(link)[0]
     c = component_count(nf)  # exact ints, unlike a hand-built link on a cache hit
-    nf = nf[1:]
+    space, nf = nf[0], nf[1:]  # the record's space: the link may be a plain 4-tuple
     if nf == (0, 0, 0):
         return _EMPTY_LINK
     if c >= 2:
-        rp3 = link.space is _RP3
+        rp3 = space is _RP3
         if nf == ((-2 * c, -c, 0) if rp3 else (1 - c, 0, 1)):
             return _tuple_new(Classification,
                               (_SPLIT, f"split link of {c} fibers in a ball: T(0,{c};0)"))

@@ -63,6 +63,9 @@ MUTANTS = [
     ("normal_form checks nothing on a cache miss",
      LINKS, "        space, p, q, n = link = make_link(*link)", "        pass",
      MEMO + "::test_a_miss_on_an_invalid_link_raises_and_caches_nothing"),
+    ("normal_form caches a plain 4-tuple as it was given",
+     LINKS, "type(link) is TorusLink and ", "",
+     MEMO + "::test_a_plain_tuple_is_cached_as_its_record"),
     ("normal_form marks its steps backward",
      LINKS, "(relation, _FORWARD, before, link)", "(relation, _BACKWARD, before, link)",
      CHAIN_PIN),
@@ -114,6 +117,13 @@ MUTANTS = [
      LINKS, " = link = make_link(*link)\n    if space is not _RP3:",
      " = link\n    if space is not _RP3:",
      "tests/test_links.py::TestLift::test_a_coordinate_that_is_not_an_exact_int_is_invalid_input"),
+    # `isotopic` and `classify` take a plain 4-tuple: neither reads `link.space`.
+    ("isotopic reads each side's space by name",
+     LINKS, "if a[0] is not b[0]:", "if a.space is not b.space:",
+     "tests/test_links.py::TestIsotopic::test_plain_tuples_are_compared"),
+    ("classify reads the space from the link as given",
+     LINKS, "rp3 = space is _RP3", "rp3 = link.space is _RP3",
+     "tests/test_links.py::TestClassify::test_examples"),
     # The divisors.
     ("R3's divisor is q", LINKS, "        k = p\n", "        k = q\n", CANONICAL_PIN),
     ("R4's divisor in S^3 is p",

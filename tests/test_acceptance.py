@@ -3,6 +3,11 @@
 Each test prints a single ``criterion N: PASS`` line on success (visible in
 the report with ``-rA``, which is enabled in pyproject.toml) and carries its
 own runtime budget where the criterion states one.
+
+The criteria are the one home of the sampled suites (trees, covers and the
+termination measure) and of the verifiers' clean runs at their default
+bounds.  The unit tests keep the hand-built cases, and the pins the
+exhaustive ones.
 """
 
 import random

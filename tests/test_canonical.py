@@ -78,7 +78,9 @@ big = st.integers(min_value=-10**18, max_value=10**18)
 
 @st.composite
 def big_triples(draw):
-    """Triples up to 10^18, half of them built to meet a reduction's side condition."""
+    """Triples up to 10^18, half of them built to meet a reduction's side condition.
+
+    The one large-triple strategy of the suite: test_links.py imports it."""
     space = draw(st.sampled_from([S3, RP3]))
     n = draw(st.integers(0, 2))
     shape = draw(st.sampled_from(["any", "p|q", "q|p", "k|q"]))

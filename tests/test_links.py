@@ -27,6 +27,7 @@ from projlink.links import (
     normal_form,
     verify_chain,
 )
+from test_canonical import big_triples
 
 S3 = AmbientSpace.SPHERE3
 RP3 = AmbientSpace.RP3
@@ -34,25 +35,6 @@ RP3 = AmbientSpace.RP3
 spaces = st.sampled_from([S3, RP3])
 coeffs = st.integers(min_value=-200, max_value=200)
 triples = st.builds(make_link, spaces, coeffs, coeffs, st.integers(0, 2))
-big = st.integers(min_value=-10**18, max_value=10**18)
-
-
-@st.composite
-def big_triples(draw):
-    """Triples up to 10^18, most of them built so that R3 or R4 applies."""
-    space = draw(spaces)
-    n = draw(st.integers(0, 2))
-    k = draw(st.integers(1, 10**9))
-    m = draw(st.integers(-10**9, 10**9))
-    shape = draw(st.sampled_from(["any", "k|p,q", "R4 in RP3"]))
-    if shape == "any":
-        p, q = draw(big), draw(big)
-    elif shape == "k|p,q":
-        p, q = draw(st.permutations([k, k * m]))
-    else:  # -p + 2q = k divides q
-        q = k * m
-        p = 2 * q - k
-    return make_link(space, p, q, n)
 
 
 class TestMakeLink:
@@ -198,29 +180,6 @@ class TestNormalForm:
         nf, _ = normal_form(link)
         assert normal_form(nf)[0] == nf
 
-    @given(triples)
-    @settings(max_examples=300)
-    def test_witness_replays(self, link):
-        nf, chain = normal_form(link)
-        assert verify_chain(chain, link, nf)
-
-    @given(triples)
-    @settings(max_examples=300)
-    def test_component_count_is_invariant(self, link):
-        nf, chain = normal_form(link)
-        assert component_count(nf) == component_count(link)
-        for step in chain:
-            assert component_count(step.before) == component_count(step.after)
-
-    @given(triples)
-    @settings(max_examples=300)
-    def test_forward_reductions_shrink(self, link):
-        space, p, q, n = link
-        for rel in (Relation.R3, Relation.R4):
-            after = _move(space, rel, Direction.FORWARD, p, q, n)
-            if after is not None:
-                assert abs(after[0]) + abs(after[1]) < abs(p) + abs(q)
-
 
 class TestIsotopic:
     def test_swap(self):
@@ -241,6 +200,14 @@ class TestIsotopic:
     def test_space_mismatch(self):
         with pytest.raises(SpaceMismatch):
             isotopic(make_link(S3, 1, 1, 0), make_link(RP3, 1, 1, 0))
+
+    # A plain 4-tuple is a link, as it is for normal_form, lift and verify_chain.
+    def test_plain_tuples_are_compared(self):
+        a, b = (S3, 2, 3, 0), (S3, 3, 2, 0)
+        ok, chain = isotopic(a, b)
+        assert ok and verify_chain(chain, a, b)
+        with pytest.raises(SpaceMismatch):
+            isotopic((S3, 1, 1, 0), (RP3, 1, 1, 0))
 
     @given(triples, triples)
     @settings(max_examples=200)
@@ -301,6 +268,8 @@ class TestClassify:
     ])
     def test_examples(self, space, triple, kind):
         assert classify(make_link(space, *triple)).kind == kind
+        # A plain 4-tuple is a link too; the split verdicts read its space.
+        assert classify((space, *triple)) == classify(make_link(space, *triple))
 
     @given(triples)
     @settings(max_examples=200)

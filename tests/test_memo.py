@@ -24,6 +24,7 @@ from projlink.links import (
     InvalidN,
     TorusLink,
     canonical,
+    chain_to_list,
     classify,
     isotopic,
     make_link,
@@ -205,6 +206,19 @@ def test_an_int_subclass_is_cached_as_its_value_not_its_int(cache):
     assert (nf, chain) == first and nf[1:] == canonical(S3, 6, 4, 0)
     assert verify_chain(chain, valid, nf)
     assert isotopic(valid, make_link(S3, 4, 6, 0))[0]
+
+
+# A plain 4-tuple and its record are one cache key, so a miss on the tuple
+# must store records, as a miss on the record does.
+@pytest.mark.parametrize("triple", [(0, 0, 0), (0, 3, 0)], ids=["empty", "split"])
+def test_a_plain_tuple_is_cached_as_its_record(cache, triple):
+    link = make_link(S3, *triple)
+    want = normal_form(link), classify(link), chain_to_list(normal_form(link)[1])
+    cache.cache_clear()
+    normal_form((S3, *triple))
+    nf, chain = normal_form(link)
+    assert type(nf) is TorusLink
+    assert ((nf, chain), classify(link), chain_to_list(chain)) == want
 
 
 def test_classify_counts_components_on_the_cached_normal_form(cache):
